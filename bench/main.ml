@@ -653,6 +653,10 @@ let equivalence_check () =
   done;
   Printf.printf "\n%d random instances (n in 5..7, m in 1..3): %d mismatches\n"
     trials !mismatches;
+  if !mismatches > 0 then begin
+    Printf.eprintf "%d instance(s) disagree with MinWork\n" !mismatches;
+    exit 1
+  end;
   Printf.printf "(allocation, ties and payments all agree with Def. 5 + eq. (1))\n"
 
 (* ------------------------------------------------------------------ *)
@@ -727,6 +731,7 @@ let backend_matrix () =
   Printf.printf "%-10s %10s %12s %12s %12s\n" "backend" "messages" "bytes"
     "time (s)" "status";
   let reference = ref None in
+  let bad = ref 0 in
   List.iter
     (fun backend ->
       let r, row =
@@ -746,6 +751,7 @@ let backend_matrix () =
             && r.Dmw_exec.second_prices = r0.Dmw_exec.second_prices
             && r.Dmw_exec.payments = r0.Dmw_exec.payments
       in
+      if not (Dmw_exec.completed r && agree) then incr bad;
       Printf.printf "%-10s %10d %12d %12.3f %12s\n%!"
         (Dmw_exec.backend_name backend)
         row.Report.msgs row.Report.bytes wall
@@ -755,7 +761,11 @@ let backend_matrix () =
     [ Dmw_exec.sim (); Dmw_exec.threads (); Dmw_exec.socket () ];
   Printf.printf
     "\n(sim time is virtual; threads/socket pay real scheduling and, for\n\
-     socket, full Codec + kernel round-trips per message.)\n"
+     socket, full Codec + kernel round-trips per message.)\n";
+  if !bad > 0 then begin
+    Printf.eprintf "%d backend(s) failed or disagreed with sim\n" !bad;
+    exit 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* A-pipeline: admission-window depth vs completion latency            *)

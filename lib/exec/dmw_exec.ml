@@ -239,6 +239,8 @@ module type BACKEND = sig
 
   val name : string
 
+  val instance : config -> int option
+
   val execute :
     config ->
     params:Params.t ->
@@ -266,6 +268,7 @@ module Sim_backend = struct
   }
 
   let name = "sim"
+  let instance _ = None
 
   let execute cfg ~params ~seed ~keep_events ~faults ~agents ~report =
     let n = params.Params.n in
@@ -312,18 +315,16 @@ end
 (* ------------------------------------------------------------------ *)
 
 (* A trace fed concurrently by every agent thread; event times are
-   wall-clock seconds since the run started. *)
-let concurrent_trace ~keep_events =
+   wall-clock seconds on the backend's clock [now]. *)
+let concurrent_trace ~keep_events ~now =
   let trace = Trace.create ~keep_events () in
   let mutex = Mutex.create () in
-  let t0 = Unix.gettimeofday () in
   let record ~src ~dst ~tag ~bytes =
     Mutex_util.with_lock mutex (fun () ->
         Trace.record trace
-          { Trace.time = Unix.gettimeofday () -. t0; src; dst; tag; bytes;
-            broadcast = false })
+          { Trace.time = now (); src; dst; tag; bytes; broadcast = false })
   in
-  (trace, t0, record)
+  (trace, record)
 
 (* Drain payment reports until every agent reported once or the
    deadline passes (a stalled run — some agent aborted — never
@@ -384,16 +385,18 @@ module Thread_backend = struct
   type config = { timeout : float }
 
   let name = "threads"
+  let instance _ = None
 
   type event = Deliver of { src : int; msg : Messages.t } | Act of (unit -> unit)
 
   let execute cfg ~params ~seed:_ ~keep_events ~faults ~agents ~report =
     let n = params.Params.n in
-    let trace, t0, record = concurrent_trace ~keep_events in
+    let t0 = Unix.gettimeofday () in
+    let now () = Unix.gettimeofday () -. t0 in
+    let trace, record = concurrent_trace ~keep_events ~now in
     let boxes = Array.init n (fun _ -> Mailbox.create ()) in
     let reports : (int * float array) Mailbox.t = Mailbox.create () in
     let timer = Timer.create () in
-    let now () = Unix.gettimeofday () -. t0 in
     let transports =
       Array.init n (fun i ->
           maybe_faults faults ~now ~src:i
@@ -449,65 +452,163 @@ module Thread_backend = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Backend: Unix-domain sockets                                        *)
+(* Socket sessions                                                     *)
 (* ------------------------------------------------------------------ *)
 
+type session = {
+  t0 : float;  (* the session's clock: spans and fault timing of every epoch *)
+  fabric : Fabric.t;
+  (* race: confined readonly: fixed at open; each Mailbox inside
+     carries its own lock. *)
+  seats : (Unix.file_descr -> Endpoint.outcome) Mailbox.t array;
+      (* per worker: the next epoch's endpoint session *)
+  done_box : unit Mailbox.t;  (* workers signal end-of-epoch here *)
+  (* race: confined owner: created by [session], joined by
+     [close_session] — both on the thread that owns the session. *)
+  workers : Thread.t array;
+}
+
+(* One thread per agent endpoint, alive for the whole session: each
+   epoch it takes that epoch's endpoint session and runs it over the
+   same fd. The done_box push precedes the loop decision so the epoch
+   barrier can never miss a worker that is about to exit. *)
+let worker ~fd ~seats ~done_box () =
+  let rec loop () =
+    match Mailbox.pop seats with
+    | None -> ()
+    | Some run_session ->
+        let outcome = run_session fd in
+        Mailbox.push done_box ();
+        (match outcome with `Epoch_end -> loop () | `Stop -> ())
+  in
+  loop ()
+
+let session ~agents:n =
+  let t0 = Unix.gettimeofday () in
+  (* Endpoints 0..n-1 are the agents; endpoint n is the payment
+     infrastructure, read by the thread that runs the epochs. *)
+  let fabric = Fabric.create ~endpoints:(n + 1) in
+  let seats = Array.init n (fun _ -> Mailbox.create ()) in
+  let done_box = Mailbox.create () in
+  let workers =
+    Array.init n (fun i ->
+        Thread.create
+          (worker ~fd:(Fabric.endpoint_fd fabric i) ~seats:seats.(i) ~done_box)
+          ())
+  in
+  { t0; fabric; seats; done_box; workers }
+
+let close_session s =
+  (* After a completed barrier every worker idles in its seat mailbox;
+     the stop also ends a session a timed-out barrier left running. *)
+  Array.iter Mailbox.close s.seats;
+  Fabric.broadcast_stop s.fabric;
+  Array.iter Thread.join s.workers;
+  Mailbox.close s.done_box;
+  Fabric.shutdown s.fabric
+
+(* The payment report a message carries for this epoch: a Scoped one
+   naming [instance] when the epoch is scoped, a bare one otherwise. A
+   report of a previous wave still sitting in the socket buffer thus
+   never feeds this wave's settlement. *)
+let epoch_report ~instance = function
+  | Messages.Payment_report { payments } when Option.is_none instance ->
+      Some payments
+  | Messages.Scoped { instance = e; msg = Messages.Payment_report { payments } }
+    when instance = Some e ->
+      Some payments
+  | Messages.Payment_report _ | Messages.Scoped _ | Messages.Share _
+  | Messages.Commitments _ | Messages.Lambda_psi _ | Messages.F_disclosure _
+  | Messages.F_disclosure_hardened _ | Messages.Lambda_psi_excl _
+  | Messages.Batch _ ->
+      None
+
+(* The infrastructure endpoint's side of [collect_reports]: wait up to
+   [remaining] seconds for one frame. *)
+let read_report fd ~instance remaining =
+  match Unix.select [ fd ] [] [] remaining with
+  | [], _, _ -> None
+  | _ -> (
+      match Frame.read fd with
+      | `Closed -> None
+      | `Frame (src, _, payload) -> (
+          match Result.map (epoch_report ~instance) (Codec.decode payload) with
+          | Ok (Some payments) -> Some (src, payments)
+          | Ok None | Error _ ->
+              (* Not a report of this epoch: skip it without consuming
+                 the caller's one-report budget. *)
+              Some (-1, [||])))
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> Some (-1, [||])
+
+(* One epoch over a session: deal the agents to the workers, drain this
+   epoch's payment reports, then end every endpoint session with the
+   epoch barrier and wait for all n workers to acknowledge — a worker
+   still draining this epoch must never take the next epoch's seat
+   before its session returns. *)
+let session_epoch s ~name ~instance ~timeout ~keep_events ~faults ~agents
+    ~report =
+  let n = Array.length s.seats in
+  if Array.length agents <> n then
+    invalid_arg "Dmw_exec: a session epoch needs one agent per endpoint";
+  let now () = Unix.gettimeofday () -. s.t0 in
+  let trace, record = concurrent_trace ~keep_events ~now in
+  let e0 = Unix.gettimeofday () in
+  Array.iteri
+    (fun i agent ->
+      Mailbox.push s.seats.(i) (fun fd ->
+          (* det: obs-only: the wall clock threaded here is the span
+             timestamp inside the obs transport wrapper (and the fault
+             layer's elapsed time, which only decides whether and when
+             a frame is delivered); frame payloads come from the
+             agent's protocol state alone *)
+          Endpoint.run_session ~fd ~agent
+            ~wrap:(fun base ->
+              maybe_faults faults ~now ~src:i
+                (Obs.transport ~backend:name ~now ~src:i base))
+            ~on_recv:(fun ~src:_ -> Obs.recv ~backend:name)
+            ~on_send:(record ~src:i) ()))
+    agents;
+  collect_reports ~n ~deadline:(e0 +. timeout)
+    ~finished:(no_more_reports agents) ~report
+    (read_report (Fabric.endpoint_fd s.fabric n) ~instance);
+  Fabric.broadcast_epoch s.fabric ~instance:(Option.value instance ~default:0);
+  for _ = 1 to n do
+    ignore (Mailbox.pop ~timeout s.done_box : unit option)
+  done;
+  (* det: wallclock: duration is the measured wall time of the epoch —
+     reporting, never part of the consensus signature or the wire *)
+  { trace; duration = Unix.gettimeofday () -. e0 }
+
+(* ------------------------------------------------------------------ *)
+(* Backends: Unix-domain sockets                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A one-shot run is a session of one unscoped epoch. *)
 module Socket_backend = struct
   type config = { timeout : float }
 
   let name = "socket"
+  let instance _ = None
 
   let execute cfg ~params ~seed:_ ~keep_events ~faults ~agents ~report =
-    let n = params.Params.n in
-    let trace, t0, record = concurrent_trace ~keep_events in
-    (* Endpoints 0..n-1 are the agents; endpoint n is the payment
-       infrastructure, driven by this thread. *)
-    let fabric = Fabric.create ~endpoints:(n + 1) in
-    let now () = Unix.gettimeofday () -. t0 in
-    let threads =
-      Array.init n (fun i ->
-          Thread.create
-            (fun () ->
-              Endpoint.run_agent
-                ~wrap:(fun base ->
-                  maybe_faults faults ~now ~src:i
-                    (Obs.transport ~backend:name ~now ~src:i base))
-                ~on_recv:(fun ~src:_ -> Obs.recv ~backend:name)
-                ~fd:(Fabric.endpoint_fd fabric i)
-                ~agent:agents.(i)
-                ~on_send:(fun ~dst ~tag ~bytes -> record ~src:i ~dst ~tag ~bytes)
-                ())
-            ())
-    in
-    let infra_fd = Fabric.endpoint_fd fabric n in
-    collect_reports ~n ~deadline:(t0 +. cfg.timeout)
-      ~finished:(no_more_reports agents) ~report (fun remaining ->
-        match Unix.select [ infra_fd ] [] [] remaining with
-        | [], _, _ -> None
-        | _ -> (
-            match Frame.read infra_fd with
-            | `Closed -> None
-            | `Frame (src, _, payload) -> (
-                match Codec.decode payload with
-                | Ok (Messages.Payment_report { payments }) ->
-                    Some (src, payments)
-                | Ok
-                    ( Messages.Share _ | Messages.Commitments _
-                    | Messages.Lambda_psi _ | Messages.F_disclosure _
-                    | Messages.F_disclosure_hardened _
-                    | Messages.Lambda_psi_excl _ | Messages.Batch _
-                    | Messages.Scoped _ )
-                | Error _ ->
-                    (* Not a report: skip it without consuming the
-                       caller's one-report budget. *)
-                    Some (-1, [||])))
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> Some (-1, [||]));
-    Fabric.broadcast_stop fabric;
-    Array.iter Thread.join threads;
-    Fabric.shutdown fabric;
-    (* det: wallclock: duration is the measured wall time of the run —
-       reporting, never part of the consensus signature or the wire *)
-    { trace; duration = Unix.gettimeofday () -. t0 }
+    let s = session ~agents:params.Params.n in
+    Fun.protect
+      ~finally:(fun () -> close_session s)
+      (fun () ->
+        session_epoch s ~name ~instance:None ~timeout:cfg.timeout
+          ~keep_events ~faults ~agents ~report)
+end
+
+(* One epoch of a long-lived session, its agents scoped to the epoch. *)
+module Epoch_backend = struct
+  type config = { session : session; epoch : int; timeout : float }
+
+  let name = "serve"
+  let instance cfg = Some cfg.epoch
+
+  let execute cfg ~params:_ ~seed:_ ~keep_events ~faults ~agents ~report =
+    session_epoch cfg.session ~name ~instance:(instance cfg)
+      ~timeout:cfg.timeout ~keep_events ~faults ~agents ~report
 end
 
 (* ------------------------------------------------------------------ *)
@@ -524,6 +625,9 @@ let threads ?(timeout = 30.0) () =
 
 let socket ?(timeout = 30.0) () =
   Backend ((module Socket_backend), { Socket_backend.timeout })
+
+let epoch session ~epoch ~timeout =
+  Backend ((module Epoch_backend), { Epoch_backend.session; epoch; timeout })
 
 let backend_name (Backend ((module B), _)) = B.name
 
@@ -581,6 +685,7 @@ let run_attempt ~strategies ~seed ~keep_events ~batching ~hardened ~watchdog
             Dmw_wal.append w (Dmw_wal.Task_phase { attempt; task; phase }))
       wal
   in
+  let (Backend ((module B), config)) = backend in
   (* The master RNG and per-agent split order are the seeding
      convention shared by every backend: same seed, same agents, same
      outcome regardless of message interleaving. *)
@@ -588,6 +693,7 @@ let run_attempt ~strategies ~seed ~keep_events ~batching ~hardened ~watchdog
   let agents =
     Array.init n (fun i ->
         Agent.create ~batching ~hardened ?watchdog ?pipeline
+          ?instance:(B.instance config)
           ?on_phase:(if i = 0 then on_phase else None)
           ~params ~id:i ~bids:bids.(i)
           ~strategy:(strategies i)
@@ -604,7 +710,6 @@ let run_attempt ~strategies ~seed ~keep_events ~batching ~hardened ~watchdog
       faults
   in
   let infra = Payment_infra.create ~n in
-  let (Backend ((module B), config)) = backend in
   Obs.reset ();
   let info =
     B.execute config ~params ~seed ~keep_events ~faults:plan ~agents

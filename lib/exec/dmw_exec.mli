@@ -78,40 +78,22 @@ val apply_faults :
     timer. Exposed so every backend — and any future one — injects the
     identical policy. *)
 
-(** Observability aggregation at the transport boundary, shared by the
-    in-process backends and by the persistent [dmw_serve] service. All
-    counting is gated on {!Dmw_obs.Metrics.enabled}; the span state is
-    module-global (one instrumented run at a time — [reset] before,
-    [emit] after). *)
-module Obs : sig
-  val reset : unit -> unit
-  (** Clear the per-run span aggregation cells. *)
-
-  val transport :
-    backend:string ->
-    now:(unit -> float) ->
-    src:int ->
-    Dmw_core.Agent.transport ->
-    Dmw_core.Agent.transport
-  (** Wrap a transport so every send bumps the per-tag message/byte
-      counters and timestamps its task's phase cell. *)
-
-  val recv : backend:string -> unit
-  (** Count one delivery into an agent. *)
-
-  val emit : backend:string -> unit
-  (** Materialize the aggregated run > task auction > phase span tree
-      for the finished run. *)
-end
-
 (** A message fabric. [execute] runs Phases II–IV of the prepared
     [agents] to completion (or to its own notion of a deadline),
     forwarding every Phase IV payment report to [report], and returns
-    the trace. It must serialize all callbacks into each agent. *)
+    the trace. It must serialize all callbacks into each agent.
+
+    [instance] is the {!Dmw_core.Messages.Scoped} instance the harness
+    gives every agent of a run on this backend ({!Dmw_core.Agent.create}'s
+    [?instance]): [None] for {!sim}, {!threads} and {!socket}, whose
+    agents keep the bare wire format; [Some e] for an {!epoch} of a
+    session. *)
 module type BACKEND = sig
   type config
 
   val name : string
+
+  val instance : config -> int option
 
   val execute :
     config ->
@@ -154,7 +136,43 @@ val socket :
 (** One thread per agent, each an endpoint exchanging Codec-encoded
     frames over Unix-domain sockets through a routing fabric
     ({!Dmw_net.Fabric}) — the full wire path, kernel boundary
-    included. [timeout] as for {!threads}. *)
+    included. Each run opens a {!session}, runs one unscoped epoch on
+    it and closes it. [timeout] as for {!threads}; span times and
+    fault timing count from the run's own start. *)
+
+(** {2 Socket sessions}
+
+    A session keeps the socket machinery of {!socket} alive across
+    runs: one {!Dmw_net.Fabric} with [agents + 1] endpoints (the last
+    is the payment infrastructure) and one worker thread per agent
+    endpoint, each running one {!Dmw_net.Endpoint.run_session} per
+    epoch over the same connection. An epoch deals the run's agents to
+    the workers, drains the epoch's payment reports from the
+    infrastructure endpoint, then sends the
+    {!Dmw_net.Fabric.broadcast_epoch} barrier and waits until every
+    worker's endpoint session has returned. The persistent [dmw_serve]
+    service holds one session for its whole life and runs each wave as
+    one {!run} on an {!epoch} backend. *)
+
+type session
+
+val session : agents:int -> session
+(** Open a session for runs of [agents] agents. Its clock starts now:
+    span times and fault timing of every epoch count from here. *)
+
+val epoch : session -> epoch:int -> timeout:float -> backend
+(** The backend named ["serve"] that runs one epoch on the session.
+    Its agents are scoped to instance [epoch] (non-negative), so
+    frames of an earlier epoch still buffered on a connection are
+    dropped; one-shot runs stay unscoped and keep their wire bytes.
+    [timeout] bounds the payment collection and, per worker, the wait
+    at the barrier. Epochs of one session must not overlap, and each
+    run on it must have exactly [agents] agents — a re-auction among
+    fewer survivors raises [Invalid_argument]. *)
+
+val close_session : session -> unit
+(** Stop every endpoint, join the workers and close the fabric. Call
+    once, after the last epoch has returned. *)
 
 val backend_name : backend -> string
 

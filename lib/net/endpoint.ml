@@ -86,8 +86,3 @@ let run_session ?(wrap = Fun.id) ?(on_recv = fun ~src:_ -> ()) ~fd
       end
   done;
   match !stopped with Some reason -> reason | None -> `Stop
-
-let run_agent ?wrap ?on_recv ~fd ~agent ~on_send () =
-  (* One-shot runs do not distinguish the two control signals: any
-     control frame ends the run, as it always has. *)
-  ignore (run_session ?wrap ?on_recv ~fd ~agent ~on_send () : outcome)

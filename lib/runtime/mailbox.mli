@@ -1,16 +1,28 @@
-(** Thread-safe blocking mailbox (unbounded FIFO).
+(** Thread-safe blocking mailbox (FIFO), unbounded or bounded.
 
-    The concurrent backends give every agent one mailbox consumed by
-    its own thread, so agent state needs no further locking. *)
+    The concurrent backends give every agent one unbounded mailbox
+    consumed by its own thread, so agent state needs no further
+    locking. The persistent auction service ([dmw_serve]) takes its
+    jobs through a bounded one: producers (client connections) offer
+    with {!try_push} and are told [`Full] when the service is
+    saturated — the caller surfaces "busy" to its client instead of
+    buffering without bound. *)
 
 type 'a t
 
-val create : unit -> 'a t
+val create : ?capacity:int -> unit -> 'a t
+(** [capacity] ([>= 1], default unbounded) is the most elements the
+    mailbox holds at once. *)
+
+val try_push : 'a t -> 'a -> [ `Ok | `Full | `Closed ]
+(** Never blocks: refuse with [`Full] at capacity and [`Closed] after
+    {!close}. *)
 
 val push : 'a t -> 'a -> unit
-(** Never blocks. After {!close}, pushes are silently dropped — this
-    is what lets a shared timer thread keep draining its deadline
-    queue during shutdown without racing the consumers. *)
+(** {!try_push} without the verdict: never blocks, and drops the
+    element when refused. An unbounded mailbox refuses only after
+    {!close} — which is what lets a shared timer thread keep draining
+    its deadline queue during shutdown without racing the consumers. *)
 
 val close : 'a t -> unit
 (** Close the mailbox: wakes every blocked {!pop}. Consumers drain

@@ -1,13 +1,11 @@
-open Dmw_bigint
 open Dmw_core
 open Dmw_runtime
-open Dmw_net
 
-(* The persistent auction service: one long-lived fabric, n worker
-   threads holding their endpoint sessions across epochs, and a
-   dispatcher thread that batches queued jobs into waves. See the mli
-   for the concurrency contract and DESIGN.md for the epoch/barrier
-   protocol. *)
+(* The persistent auction service: one long-lived Dmw_exec socket
+   session, and a dispatcher thread that batches queued jobs into
+   waves and runs each wave as one Dmw_exec.run on the session. See
+   the mli for the concurrency contract and DESIGN.md for the
+   epoch/barrier protocol. *)
 
 type config = {
   n : int;
@@ -39,8 +37,8 @@ let config ?(group_bits = 64) ?(seed = 0) ?w_max ?pipeline ?(max_wave = 8)
     wave_window; epoch_timeout }
 
 (* race: confined extern: a job is written by the submitter, handed
-   off through Bounded_queue, and read by the dispatcher — the
-   queue's lock orders the two sides. *)
+   off through the job Mailbox, and read by the dispatcher — the
+   mailbox's lock orders the two sides. *)
 type job = { id : int; w_vector : int array }
 
 type job_result = {
@@ -57,17 +55,10 @@ type t = {
   wal : Dmw_wal.writer option;
       (* Write-ahead journal: the writer serializes its own appends,
          so the submitter and dispatcher threads may both write. *)
-  t0 : float;  (* service birth; the obs clock every span shares *)
-  fabric : Fabric.t;
-  queue : job Bounded_queue.t;
-  (* race: confined readonly: fixed at create; each Mailbox inside
-     carries its own lock. *)
-  boxes : Agent.t Mailbox.t array;  (* per-worker: next epoch's agent *)
-  done_box : unit Mailbox.t;  (* workers signal end-of-epoch here *)
+  session : Dmw_exec.session;
+  queue : job Mailbox.t;
   (* race: confined owner: written by create, read by shutdown — both
      on the thread that owns the service handle. *)
-  mutable workers : Thread.t array;
-  (* race: confined owner: same discipline as workers. *)
   mutable dispatcher : Thread.t option;
   (* Submission side. *)
   smutex : Mutex.t;
@@ -85,43 +76,10 @@ type t = {
   mutable paused : bool;
 }
 
-let backend_label = "serve"
-let obs_labels = [ ("backend", backend_label) ]
+let obs_labels = [ ("backend", "serve") ]
 
 let journal t r =
   match t.wal with None -> () | Some w -> Dmw_wal.append w r
-
-(* ------------------------------------------------------------------ *)
-(* Workers                                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* One thread per agent endpoint, alive for the whole service: each
-   epoch the dispatcher hands it a fresh agent (instance-scoped to the
-   epoch) and it runs one endpoint session over the same fd. The
-   done_box push must precede the outcome dispatch so the dispatcher's
-   barrier wait can never miss a worker that is about to exit. *)
-let worker t i () =
-  let fd = Fabric.endpoint_fd t.fabric i in
-  let now () = Unix.gettimeofday () -. t.t0 in
-  let rec loop () =
-    match Mailbox.pop t.boxes.(i) with
-    | None -> ()
-    | Some agent ->
-        let outcome =
-          (* det: obs-only: the wall clock threaded here is the span
-             timestamp inside the obs transport wrapper; frame payloads
-             come from the agent's protocol state alone *)
-          Endpoint.run_session
-            ~wrap:(Dmw_exec.Obs.transport ~backend:backend_label ~now ~src:i)
-            ~on_recv:(fun ~src:_ -> Dmw_exec.Obs.recv ~backend:backend_label)
-            ~fd ~agent
-            ~on_send:(fun ~dst:_ ~tag:_ ~bytes:_ -> ())
-            ()
-        in
-        Mailbox.push t.done_box ();
-        (match outcome with `Epoch_end -> loop () | `Stop -> ())
-  in
-  loop ()
 
 (* ------------------------------------------------------------------ *)
 (* Results                                                             *)
@@ -152,170 +110,96 @@ type stats = { epochs : int; jobs : int; queue_depth : int }
 let stats t =
   Mutex_util.with_lock t.rmutex (fun () ->
       { epochs = t.epochs; jobs = t.jobs_done;
-        queue_depth = Bounded_queue.length t.queue })
+        queue_depth = Mailbox.length t.queue })
+
+(* The journal record of one job's settlement. *)
+let settlement (r : job_result) =
+  match r.outcome with
+  | Some o ->
+      Dmw_wal.Job_done
+        { job = r.job; epoch = r.epoch; task = r.task; winner = o.Agent.winner;
+          y_star = o.Agent.y_star; y_star2 = o.Agent.y_star2 }
+  | None ->
+      Dmw_wal.Job_failed
+        { job = r.job; epoch = r.epoch; task = r.task;
+          error = Option.value r.error ~default:"unknown" }
+
+let settle t r =
+  journal t (settlement r);
+  publish t r
 
 (* ------------------------------------------------------------------ *)
 (* Epochs                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Drain this epoch's payment reports from the infrastructure endpoint
-   (fd n). Only Scoped reports naming the current epoch count — a
-   report from a previous wave still sitting in the socket buffer must
-   not feed this wave's settlement. Mirrors the one-shot socket
-   backend's collector, with the same early exit once every agent has
-   reported, aborted, or dispatched its Phase IV send. *)
-let collect_reports t ~epoch ~agents ~infra =
-  let n = t.cfg.n in
-  let infra_fd = Fabric.endpoint_fd t.fabric n in
-  let deadline = Unix.gettimeofday () +. t.cfg.epoch_timeout in
-  let grace = 0.25 in
-  let received = Hashtbl.create n in
-  let finished () =
-    Array.for_all
-      (fun a ->
-        Hashtbl.mem received (Agent.id a)
-        || Option.is_some (Agent.aborted a)
-        || Option.is_some (Agent.reported_payments a))
-      agents
+(* One wave is one protocol run: epoch [e] of a service seeded with
+   [s] is Dmw_exec.run ~seed:(s + 7919*(e-1)) over the wave's bid
+   vectors — on the service's session when live, on the simulator when
+   recovery replays it. Wave 1 is thus bit for bit Dmw_exec.run
+   ~seed:s on the same jobs; later waves re-salt with the same stride
+   the one-shot runner uses between attempts. Job [j] of the wave
+   ([jobs.(j)] its id) is task [j]; its outcome is the consensus
+   winner and prices, or a failure when the wave reached none. *)
+let run_wave (cfg : config) ~backend ~epoch ~jobs w_vectors =
+  let m = Array.length w_vectors in
+  let params =
+    Params.make_exn ~group_bits:cfg.group_bits ~seed:cfg.seed ?w_max:cfg.w_max
+      ~n:cfg.n ~m ~c:cfg.c ()
   in
-  let finished_at = ref None in
-  let continue_ = ref true in
-  while !continue_ && Hashtbl.length received < n do
-    let now = Unix.gettimeofday () in
-    (match !finished_at with
-    | None -> if finished () then finished_at := Some now
-    | Some _ -> ());
-    let stop_at =
-      match !finished_at with
-      | Some at -> Float.min deadline (at +. grace)
-      | None -> deadline
-    in
-    let remaining = stop_at -. now in
-    if remaining <= 0.0 then continue_ := false
-    else
-      match Unix.select [ infra_fd ] [] [] (Float.min remaining 0.05) with
-      | [], _, _ -> ()
-      | _ -> (
-          match Frame.read infra_fd with
-          | `Closed -> continue_ := false
-          | `Frame (src, _, payload) -> (
-              match Codec.decode payload with
-              | Ok
-                  (Messages.Scoped
-                     { instance; msg = Messages.Payment_report { payments } })
-                when instance = epoch ->
-                  if src >= 0 && src < n && not (Hashtbl.mem received src)
-                  then begin
-                    Hashtbl.replace received src ();
-                    Payment_infra.receive infra ~from_:src payments
-                  end
-              | Ok (Messages.Scoped _)
-              | Ok
-                  ( Messages.Share _ | Messages.Commitments _
-                  | Messages.Lambda_psi _ | Messages.F_disclosure _
-                  | Messages.F_disclosure_hardened _
-                  | Messages.Lambda_psi_excl _ | Messages.Payment_report _
-                  | Messages.Batch _ )
-              | Error _ ->
-                  ()))
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done
+  let bids = Array.init cfg.n (fun i -> Array.map (fun w -> w.(i)) w_vectors) in
+  let r =
+    Dmw_exec.run ~seed:(cfg.seed + (7919 * (epoch - 1))) ~keep_events:false
+      ?pipeline:cfg.pipeline ~backend params ~bids
+  in
+  let result task =
+    match (r.schedule, r.first_prices, r.second_prices) with
+    | Some s, Some fp, Some sp ->
+        let winner = (Dmw_mechanism.Schedule.assignment s).(task) in
+        { job = jobs.(task); epoch; task; error = None;
+          outcome =
+            Some { Agent.winner; y_star = fp.(task); y_star2 = sp.(task) } }
+    | _ ->
+        { job = jobs.(task); epoch; task; outcome = None;
+          error = Some "wave failed: no consensus" }
+  in
+  (r, Array.init m result)
 
 let run_epoch t wave =
   let epoch = Mutex_util.with_lock t.rmutex (fun () -> t.epochs + 1) in
-  let n = t.cfg.n in
-  let m = Array.length wave in
-  let params =
-    Params.make_exn ~group_bits:t.cfg.group_bits ~seed:t.cfg.seed
-      ?w_max:t.cfg.w_max ~n ~m ~c:t.cfg.c ()
+  let jobs = Array.map (fun job -> job.id) wave in
+  journal t (Dmw_wal.Epoch_start { epoch; jobs });
+  let r, results =
+    run_wave t.cfg ~epoch ~jobs
+      ~backend:(Dmw_exec.epoch t.session ~epoch ~timeout:t.cfg.epoch_timeout)
+      (Array.map (fun job -> job.w_vector) wave)
   in
-  (* Epoch seeding: wave 1 of a service seeded with s is bit-for-bit
-     Dmw_exec.run ~seed:s on the same jobs; later waves re-salt with
-     the same stride the one-shot runner uses between attempts. *)
-  let epoch_seed = t.cfg.seed + (7919 * (epoch - 1)) in
-  journal t
-    (Dmw_wal.Epoch_start { epoch; jobs = Array.map (fun job -> job.id) wave });
-  let master_rng = Prng.create ~seed:(epoch_seed lxor 0xA6E77) in
-  let agents =
-    Array.init n (fun i ->
-        Agent.create ?pipeline:t.cfg.pipeline ~instance:epoch ~params ~id:i
-          ~bids:(Array.map (fun job -> job.w_vector.(i)) wave)
-          ~strategy:Strategy.Suggested
-          ~rng:(Prng.split master_rng) ())
-  in
-  Dmw_exec.Obs.reset ();
-  let e0 = Unix.gettimeofday () in
-  let infra = Payment_infra.create ~n in
-  Array.iteri (fun i a -> Mailbox.push t.boxes.(i) a) agents;
-  collect_reports t ~epoch ~agents ~infra;
-  (* Barrier: end every endpoint session, then wait for all n workers
-     to acknowledge before the next wave's agents are dealt — a worker
-     still draining epoch e must never receive epoch e+1's agent
-     before its session returns. *)
-  Fabric.broadcast_epoch t.fabric ~instance:epoch;
-  for _ = 1 to n do
-    ignore (Mailbox.pop ~timeout:t.cfg.epoch_timeout t.done_box : unit option)
-  done;
-  Array.iter Agent.finalize_stall agents;
-  let duration = Unix.gettimeofday () -. e0 in
-  Dmw_exec.Obs.emit ~backend:backend_label;
   let module Metrics = Dmw_obs.Metrics in
-  Metrics.observe ~labels:obs_labels "dmw_serve_epoch_seconds" duration;
+  (* Epochs last from tens of milliseconds to a few seconds. *)
+  Metrics.observe ~labels:obs_labels
+    ~edges:
+      [| 0.001; 0.0025; 0.005; 0.01; 0.025; 0.05; 0.1; 0.25; 0.5; 1.; 2.5;
+         5.; 10.; 30. |]
+    "dmw_serve_epoch_seconds" r.duration;
   Metrics.bump ~labels:obs_labels "dmw_serve_epochs_total" 1;
-  Metrics.bump ~labels:obs_labels "dmw_serve_jobs_total" m;
+  Metrics.bump ~labels:obs_labels "dmw_serve_jobs_total" (Array.length wave);
   Metrics.set ~labels:obs_labels "dmw_serve_queue_depth"
-    (float_of_int (Bounded_queue.length t.queue));
-  let schedule = Agent.consensus agents ~c:t.cfg.c in
-  let resolved =
-    Array.to_list agents
-    |> List.find_opt (fun a ->
-           Option.is_none (Agent.aborted a)
-           && Array.for_all Option.is_some (Agent.outcomes a))
-  in
-  let settled = Payment_infra.settle infra ~quorum:(n - t.cfg.c) in
+    (float_of_int (Mailbox.length t.queue));
   Metrics.bump ~labels:obs_labels "dmw_serve_settled_total"
     (Array.fold_left
        (fun k p -> if Option.is_some p then k + 1 else k)
-       0 settled);
+       0 r.payments);
   Mutex_util.with_lock t.rmutex (fun () -> t.epochs <- epoch);
-  Array.iteri
-    (fun j job ->
-      let outcome =
-        match (schedule, resolved) with
-        | Some _, Some a -> (Agent.outcomes a).(j)
-        | (Some _ | None), _ -> None
-      in
-      let error =
-        match outcome with
-        | Some _ -> None
-        | None -> Some "wave failed: no consensus"
-      in
-      (match outcome with
-      | Some (o : Agent.task_outcome) ->
-          journal t
-            (Dmw_wal.Job_done
-               { job = job.id; epoch; task = j; winner = o.winner;
-                 y_star = o.y_star; y_star2 = o.y_star2 })
-      | None ->
-          journal t
-            (Dmw_wal.Job_failed
-               { job = job.id; epoch; task = j;
-                 error = Option.value error ~default:"unknown" }));
-      publish t { job = job.id; epoch; task = j; outcome; error })
-    wave;
+  Array.iter (settle t) results;
   journal t (Dmw_wal.Epoch_end { epoch })
 
 let fail_wave t wave message =
   (* t.epochs is owned by rmutex; the dispatcher may be bumping it
-     concurrently, so take the same snapshot run_wave does. *)
+     concurrently, so take the same snapshot run_epoch does. *)
   let epoch = Mutex_util.with_lock t.rmutex (fun () -> t.epochs + 1) in
   Array.iteri
-    (fun j job ->
-      journal t
-        (Dmw_wal.Job_failed { job = job.id; epoch; task = j; error = message });
-      publish t
-        { job = job.id; epoch; task = j; outcome = None;
-          error = Some message })
+    (fun task job ->
+      settle t
+        { job = job.id; epoch; task; outcome = None; error = Some message })
     wave
 
 (* ------------------------------------------------------------------ *)
@@ -332,13 +216,13 @@ let wait_resumed t =
 let rec fill_wave t acc k =
   if k = 0 then List.rev acc
   else
-    match Bounded_queue.pop ~timeout:0.0 t.queue with
+    match Mailbox.pop ~timeout:0.0 t.queue with
     | None -> List.rev acc
     | Some job -> fill_wave t (job :: acc) (k - 1)
 
 let rec dispatch t =
   wait_resumed t;
-  match Bounded_queue.pop t.queue with
+  match Mailbox.pop t.queue with
   | None -> ()  (* closed and drained: shutdown *)
   | Some first ->
       if t.cfg.wave_window > 0.0 then Thread.delay t.cfg.wave_window;
@@ -369,12 +253,8 @@ let create ?(paused = false) ?wal ?(epoch_base = 0) ?(job_base = 0) cfg =
         { cfg;
           w_max = probe.Params.w_max;
           wal;
-          t0 = Unix.gettimeofday ();
-          fabric = Fabric.create ~endpoints:(cfg.n + 1);
-          queue = Bounded_queue.create ~capacity:cfg.queue_capacity;
-          boxes = Array.init cfg.n (fun _ -> Mailbox.create ());
-          done_box = Mailbox.create ();
-          workers = [||];
+          session = Dmw_exec.session ~agents:cfg.n;
+          queue = Mailbox.create ~capacity:cfg.queue_capacity ();
           dispatcher = None;
           smutex = Mutex.create ();
           next_job = job_base;
@@ -393,7 +273,6 @@ let create ?(paused = false) ?wal ?(epoch_base = 0) ?(job_base = 0) cfg =
            { n = cfg.n; c = cfg.c; group_bits = cfg.group_bits;
              seed = cfg.seed; w_max = cfg.w_max; pipeline = cfg.pipeline;
              max_wave = cfg.max_wave });
-      t.workers <- Array.init cfg.n (fun i -> Thread.create (worker t i) ());
       t.dispatcher <- Some (Thread.create dispatch t);
       t
 
@@ -407,7 +286,7 @@ let submit t ~bids =
   else
     Mutex_util.with_lock t.smutex (fun () ->
         let id = t.next_job in
-        match Bounded_queue.try_push t.queue { id; w_vector = bids } with
+        match Mailbox.try_push t.queue { id; w_vector = bids } with
         | `Ok ->
             t.next_job <- id + 1;
             journal t
@@ -417,7 +296,7 @@ let submit t ~bids =
         | `Closed -> `Closed)
 
 let shutdown t =
-  Bounded_queue.close t.queue;
+  Mailbox.close t.queue;
   resume t;  (* a paused dispatcher must still wake up to drain *)
   (match t.dispatcher with
   | Some th ->
@@ -425,12 +304,8 @@ let shutdown t =
       t.dispatcher <- None
   | None -> ());
   (* The dispatcher waits out every epoch's barrier before returning,
-     so at this point all workers idle in their mailboxes. *)
-  Array.iter Mailbox.close t.boxes;
-  Fabric.broadcast_stop t.fabric;
-  Array.iter Thread.join t.workers;
-  Mailbox.close t.done_box;
-  Fabric.shutdown t.fabric;
+     so no epoch is running on the session any more. *)
+  Dmw_exec.close_session t.session;
   Mutex_util.with_lock t.rmutex (fun () ->
       t.stopped <- true;
       Condition.broadcast t.rcond)
@@ -457,11 +332,10 @@ type recovery = {
 let ( let* ) = Result.bind
 
 (* Recovery re-derives every interrupted epoch from the journal alone:
-   epoch [e] of a service seeded with [s] is, by construction,
-   [Dmw_exec.run ~seed:(s + 7919*(e-1))] over the wave's bid vectors,
-   and signatures are backend-invariant, so the sim backend replays a
-   socket service's waves bit for bit. Settlements the crashed process
-   already journaled become obligations the replay must reproduce. *)
+   run_wave on the sim backend replays a socket service's waves bit for
+   bit, because signatures are backend-invariant. Settlements the
+   crashed process already journaled become obligations the replay must
+   reproduce. *)
 let recover ?journal:w records =
   let jot r = match w with None -> () | Some jw -> Dmw_wal.append jw r in
   let* hdr =
@@ -482,11 +356,14 @@ let recover ?journal:w records =
     then Ok ()
     else Error "write-ahead log mixes headers from different services"
   in
-  let* n, c, group_bits, seed, w_max, pipeline, max_wave =
+  let* (cfg : config) =
     match hdr with
     | Dmw_wal.Serve_start { n; c; group_bits; seed; w_max; pipeline; max_wave }
-      ->
-        Ok (n, c, group_bits, seed, w_max, pipeline, max_wave)
+      -> (
+        match config ~group_bits ~seed ?w_max ?pipeline ~max_wave ~n ~c () with
+        | cfg -> Ok cfg
+        | exception Invalid_argument e ->
+            Error ("invalid journaled service parameters: " ^ e))
     | _ -> Error "unreachable: the header is a Serve_start record"
   in
   (* Fold the journal; the last record naming a job or epoch wins, so
@@ -549,51 +426,21 @@ let recover ?journal:w records =
   let rec batch acc = function
     | [] -> List.rev acc
     | ids ->
-        let wave, rest = take max_wave ids in
+        let wave, rest = take cfg.max_wave ids in
         batch (Array.of_list wave :: acc) rest
   in
   let fresh_waves =
     List.mapi (fun k ids -> (!max_epoch + 1 + k, ids)) (batch [] fresh_ids)
   in
   let next_epoch = !max_epoch + List.length fresh_waves in
-  let exec ~epoch jobs_bids =
-    let m = Array.length jobs_bids in
-    let* params =
-      match Params.make ~group_bits ~seed ?w_max ~n ~m ~c () with
-      | Ok p -> Ok p
-      | Error e -> Error ("invalid journaled service parameters: " ^ e)
-    in
-    let bids =
-      Array.init n (fun i -> Array.map (fun bv -> bv.(i)) jobs_bids)
-    in
-    let* r =
-      match
-        Dmw_exec.run ~seed:(seed + (7919 * (epoch - 1))) ~keep_events:false
-          ?pipeline params ~bids
-      with
-      | r -> Ok r
-      | exception Invalid_argument e -> Error ("replay failed: " ^ e)
-    in
-    match
-      (r.Dmw_exec.schedule, r.Dmw_exec.first_prices, r.Dmw_exec.second_prices)
-    with
-    | Some s, Some fp, Some sp ->
-        let assignment = Dmw_mechanism.Schedule.assignment s in
-        Ok
-          (Array.init m (fun j ->
-               Some
-                 { Agent.winner = assignment.(j); y_star = fp.(j);
-                   y_star2 = sp.(j) }))
-    | _ -> Ok (Array.make m None)
-  in
   let replayed = ref 0 in
-  let run_wave (epoch, ids) =
-    let* jobs_bids =
+  let replay (epoch, ids) =
+    let* w_vectors =
       Array.fold_left
         (fun acc j ->
           let* acc = acc in
           match Hashtbl.find_opt subs j with
-          | Some bv when Array.length bv = n -> Ok (bv :: acc)
+          | Some bv when Array.length bv = cfg.n -> Ok (bv :: acc)
           | Some _ ->
               Error
                 ("journaled bids for job " ^ string_of_int j
@@ -604,52 +451,39 @@ let recover ?journal:w records =
                ^ string_of_int j ^ " with no journaled submission"))
         (Ok []) ids
     in
-    let jobs_bids = Array.of_list (List.rev jobs_bids) in
     jot (Dmw_wal.Epoch_start { epoch; jobs = ids });
-    let* outcomes = exec ~epoch jobs_bids in
-    let m = Array.length ids in
-    let rec settle_task j =
-      if j = m then Ok ()
-      else
-        let id = ids.(j) in
-        let result =
-          match outcomes.(j) with
-          | Some o ->
-              { job = id; epoch; task = j; outcome = Some o; error = None }
-          | None ->
-              { job = id; epoch; task = j; outcome = None;
-                error = Some "wave failed: no consensus" }
-        in
-        let* () =
-          (* A value the crashed process journaled must be reproduced
-             exactly; a journaled environmental failure may be healed
-             by the replay. *)
-          match Hashtbl.find_opt settled id with
-          | Some { outcome = Some o1; _ } -> (
-              match result.outcome with
-              | Some o2 when o1 = o2 -> Ok ()
-              | Some _ | None ->
-                  Error
-                    ("journaled settlement of job " ^ string_of_int id
-                   ^ " does not match the replayed epoch "
-                   ^ string_of_int epoch))
-          | Some { outcome = None; _ } | None -> Ok ()
-        in
-        (match result.outcome with
-        | Some o ->
-            jot
-              (Dmw_wal.Job_done
-                 { job = id; epoch; task = j; winner = o.Agent.winner;
-                   y_star = o.Agent.y_star; y_star2 = o.Agent.y_star2 })
-        | None ->
-            jot
-              (Dmw_wal.Job_failed
-                 { job = id; epoch; task = j;
-                   error = Option.value result.error ~default:"unknown" }));
-        Hashtbl.replace settled id result;
-        settle_task (j + 1)
+    let* results =
+      match
+        run_wave cfg ~backend:(Dmw_exec.sim ()) ~epoch ~jobs:ids
+          (Array.of_list (List.rev w_vectors))
+      with
+      | _, results -> Ok results
+      | exception Invalid_argument e -> Error ("replay failed: " ^ e)
     in
-    let* () = settle_task 0 in
+    let* () =
+      Array.fold_left
+        (fun acc (result : job_result) ->
+          let* () = acc in
+          let* () =
+            (* A value the crashed process journaled must be reproduced
+               exactly; a journaled environmental failure may be healed
+               by the replay. *)
+            match Hashtbl.find_opt settled result.job with
+            | Some { outcome = Some o1; _ } -> (
+                match result.outcome with
+                | Some o2 when o1 = o2 -> Ok ()
+                | Some _ | None ->
+                    Error
+                      ("journaled settlement of job " ^ string_of_int result.job
+                     ^ " does not match the replayed epoch "
+                     ^ string_of_int epoch))
+            | Some { outcome = None; _ } | None -> Ok ()
+          in
+          jot (settlement result);
+          Hashtbl.replace settled result.job result;
+          Ok ())
+        (Ok ()) results
+    in
     jot (Dmw_wal.Epoch_end { epoch });
     incr replayed;
     Ok ()
@@ -658,7 +492,7 @@ let recover ?journal:w records =
     List.fold_left
       (fun acc wave ->
         let* () = acc in
-        run_wave wave)
+        replay wave)
       (Ok ()) (unfinished @ fresh_waves)
   in
   (match w with Some jw -> Dmw_wal.sync jw | None -> ());
@@ -672,8 +506,10 @@ let recover ?journal:w records =
     |> List.sort (fun a b -> Int.compare a.job b.job)
   in
   Ok
-    { n; c; group_bits; seed; w_max; pipeline; max_wave; results; kept;
-      replayed = !replayed; next_epoch; next_job = !max_job + 1 }
+    { n = cfg.n; c = cfg.c; group_bits = cfg.group_bits; seed = cfg.seed;
+      w_max = cfg.w_max; pipeline = cfg.pipeline; max_wave = cfg.max_wave;
+      results; kept; replayed = !replayed; next_epoch;
+      next_job = !max_job + 1 }
 
 (* ------------------------------------------------------------------ *)
 (* Front door                                                          *)

@@ -1,22 +1,24 @@
 (** The persistent auction service behind the [dmw_serve] daemon.
 
-    Where {!Dmw_exec.run} stands up a fresh fabric for one auction run
-    and tears everything down, this module keeps [n] agent endpoints
-    connected over one long-lived {!Dmw_net.Fabric} and feeds them
-    {e waves}: jobs (one task each, with its full bid vector) arrive
-    through a bounded submission queue, the epoch dispatcher batches up
-    to [max_wave] of them into a single [m]-task protocol instance, and
-    every message of that wave travels inside a
-    {!Dmw_core.Messages.Scoped} envelope naming the epoch, so frames
-    from a finished wave can never leak into the next one. An epoch
-    ends with {!Dmw_net.Fabric.broadcast_epoch}; the endpoint sessions
-    return [`Epoch_end] and keep their sockets for the next wave.
+    Where a one-shot {!Dmw_exec.socket} run opens a socket session for
+    one auction and closes it, this module holds one
+    {!Dmw_exec.session} — [n] agent endpoints connected over one
+    long-lived fabric, with their worker threads — for its whole life
+    and feeds it {e waves}: jobs (one task each, with its full bid
+    vector) arrive through a bounded submission queue, and the epoch
+    dispatcher batches up to [max_wave] of them into a single [m]-task
+    protocol run. Epoch [e] is one {!Dmw_exec.run} on
+    {!Dmw_exec.epoch}: the harness deals the agents, scopes every
+    message to the epoch (a {!Dmw_core.Messages.Scoped} envelope, so
+    frames from a finished wave can never leak into the next one),
+    collects the payment reports and ends the epoch with the session's
+    barrier. This module keeps only the job queue, wave batching, the
+    front door, the [dmw_serve_*] metrics and the journal.
 
-    Concurrency shape: [n] worker threads (one per agent endpoint, as
-    in the socket backend) plus one dispatcher thread that collects
-    waves, drives the payment infrastructure, settles, and publishes
-    per-job results. Client-facing threads only touch {!submit},
-    {!await} and {!stats}, all of which are thread-safe. *)
+    Concurrency shape: the session's [n] endpoint workers plus one
+    dispatcher thread that collects waves, runs each one, and
+    publishes per-job results. Client-facing threads only touch
+    {!submit}, {!await} and {!stats}, all of which are thread-safe. *)
 
 (** {1 Configuration} *)
 
@@ -25,14 +27,14 @@ type config = private {
   c : int;  (** Fault bound carried by every wave. *)
   group_bits : int;
   seed : int;
-      (** Base seed. Epoch [e] derives its RNG from
-          [seed + 7919 * (e - 1)], so the first wave of a service
+      (** Base seed. Epoch [e] is [Dmw_exec.run ~seed:(seed + 7919 *
+          (e - 1))] over its wave, so the first wave of a service
           seeded with [s] reproduces [Dmw_exec.run ~seed:s] bit for
           bit given the same jobs. *)
   w_max : int option;  (** Bid-range override, as in {!Dmw_core.Params.make}. *)
   pipeline : int option;
       (** Admission-window depth within each wave
-          ({!Dmw_core.Agent.create}'s [pipeline]). *)
+          ({!Dmw_exec.run}'s [pipeline]). *)
   max_wave : int;  (** Most jobs batched into one epoch. *)
   queue_capacity : int;  (** Submission-queue bound; beyond it, [`Busy]. *)
   wave_window : float;
@@ -63,10 +65,10 @@ val create :
   ?job_base:int ->
   config ->
   t
-(** Allocate the fabric, connect the [n] agent endpoints and start the
-    dispatcher. [paused] (default [false]) holds the dispatcher back
-    until {!resume} — how tests submit a full wave deterministically
-    before any epoch starts. Raises [Invalid_argument] when the
+(** Open the socket session ([n] agent endpoints and their workers)
+    and start the dispatcher. [paused] (default [false]) holds the
+    dispatcher back until {!resume} — how tests submit a full wave
+    deterministically before any epoch starts. Raises [Invalid_argument] when the
     population parameters do not validate.
 
     [wal] journals the service into a write-ahead audit log: a
@@ -86,8 +88,8 @@ val resume : t -> unit
 
 val shutdown : t -> unit
 (** Drain: stop accepting jobs, run every queued job to completion,
-    send the final stop down the fabric, join all threads and close
-    every descriptor. Blocks until done; {!await} callers still
+    then close the session — the final stop down the fabric, every
+    thread joined and every descriptor closed. Blocks until done; {!await} callers still
     waiting afterwards receive [None]. *)
 
 (** {1 Jobs} *)

@@ -11,26 +11,26 @@
 
 open Dmw_core
 module Serve = Dmw_serve_core
-module Bounded_queue = Dmw_runtime.Bounded_queue
+module Mailbox = Dmw_runtime.Mailbox
 
 (* ------------------------------------------------------------------ *)
 (* Bounded queue: refusal-style backpressure, deterministically        *)
 
 let test_bounded_queue () =
-  let q = Bounded_queue.create ~capacity:2 in
-  Alcotest.(check bool) "push 1" true (Bounded_queue.try_push q 1 = `Ok);
-  Alcotest.(check bool) "push 2" true (Bounded_queue.try_push q 2 = `Ok);
+  let q = Mailbox.create ~capacity:2 () in
+  Alcotest.(check bool) "push 1" true (Mailbox.try_push q 1 = `Ok);
+  Alcotest.(check bool) "push 2" true (Mailbox.try_push q 2 = `Ok);
   Alcotest.(check bool) "push 3 refused" true
-    (Bounded_queue.try_push q 3 = `Full);
-  Alcotest.(check int) "length" 2 (Bounded_queue.length q);
-  Alcotest.(check bool) "pop 1" true (Bounded_queue.pop q = Some 1);
-  Alcotest.(check bool) "slot freed" true (Bounded_queue.try_push q 3 = `Ok);
-  Bounded_queue.close q;
+    (Mailbox.try_push q 3 = `Full);
+  Alcotest.(check int) "length" 2 (Mailbox.length q);
+  Alcotest.(check bool) "pop 1" true (Mailbox.pop q = Some 1);
+  Alcotest.(check bool) "slot freed" true (Mailbox.try_push q 3 = `Ok);
+  Mailbox.close q;
   Alcotest.(check bool) "closed refuses" true
-    (Bounded_queue.try_push q 4 = `Closed);
-  Alcotest.(check bool) "drains 2" true (Bounded_queue.pop q = Some 2);
-  Alcotest.(check bool) "drains 3" true (Bounded_queue.pop q = Some 3);
-  Alcotest.(check bool) "then empty" true (Bounded_queue.pop q = None)
+    (Mailbox.try_push q 4 = `Closed);
+  Alcotest.(check bool) "drains 2" true (Mailbox.pop q = Some 2);
+  Alcotest.(check bool) "drains 3" true (Mailbox.pop q = Some 3);
+  Alcotest.(check bool) "then empty" true (Mailbox.pop q = None)
 
 (* ------------------------------------------------------------------ *)
 (* Service lifecycle                                                   *)
@@ -126,6 +126,34 @@ let test_service_waves () =
   Alcotest.(check int) "second wave is epoch 2" 2 r2.Serve.epoch;
   Alcotest.(check bool) "second wave resolved" true
     (Option.is_some r2.Serve.outcome);
+  (* ... and reproduces the one-shot harness at the next epoch seed. *)
+  let p2 = Params.make_exn ~group_bits:16 ~seed:11 ~n:5 ~m:1 ~c:1 () in
+  let reference2 =
+    Dmw_exec.run ~seed:(11 + 7919) ~keep_events:false p2
+      ~bids:[| [| 1 |]; [| 1 |]; [| 2 |]; [| 2 |]; [| 3 |] |]
+  in
+  (match
+     ( reference2.Dmw_exec.schedule, reference2.Dmw_exec.first_prices,
+       reference2.Dmw_exec.second_prices, r2.Serve.outcome )
+   with
+  | Some s, Some y1, Some y2, Some o ->
+      Alcotest.(check int) "epoch 2 winner matches one-shot run"
+        (Dmw_mechanism.Schedule.assignment s).(0) o.Agent.winner;
+      Alcotest.(check int) "epoch 2 first price" y1.(0) o.Agent.y_star;
+      Alcotest.(check int) "epoch 2 second price" y2.(0) o.Agent.y_star2
+  | _ -> Alcotest.fail "epoch 2 or its reference run failed");
+  (* Epoch durations land in second-scale buckets, not the underflow. *)
+  (match
+     Dmw_obs.Metrics.histogram_snapshot
+       ~labels:[ ("backend", "serve") ]
+       "dmw_serve_epoch_seconds"
+   with
+  | Some h ->
+      Alcotest.(check int) "two epochs observed" 2
+        h.Dmw_obs.Metrics.Histogram.count;
+      Alcotest.(check int) "no epoch in the underflow bucket" 0
+        h.Dmw_obs.Metrics.Histogram.underflow
+  | None -> Alcotest.fail "no dmw_serve_epoch_seconds histogram");
   let s = Serve.stats t in
   Alcotest.(check int) "two epochs" 2 s.Serve.epochs;
   Alcotest.(check int) "four jobs" 4 s.Serve.jobs;

@@ -1,5 +1,5 @@
 (* Concurrency stress tests for the two shared structures dmw_race
-   certifies as guarded: the Bounded_queue feeding the auction service
+   certifies as guarded: the bounded Mailbox feeding the auction service
    and the Dmw_obs metrics registry. Real threads hammer both; the
    properties are conservation laws — every accepted push is popped
    exactly once, every recorded observation is counted exactly once —
@@ -7,26 +7,26 @@
    shapes are drawn by qcheck so the interleavings vary run to run
    while staying reproducible under qcheck's printed seed. *)
 
-module Bounded_queue = Dmw_runtime.Bounded_queue
+module Mailbox = Dmw_runtime.Mailbox
 module Metrics = Dmw_obs.Metrics
 
 let spawn_all fns = List.map (fun f -> Thread.create f ()) fns
 let join_all ths = List.iter Thread.join ths
 
 (* ------------------------------------------------------------------ *)
-(* Bounded_queue: producers push tagged values, consumers drain; the
+(* Bounded Mailbox: producers push tagged values, consumers drain; the
    multiset of consumed values must equal the multiset accepted.      *)
 (* ------------------------------------------------------------------ *)
 
 let queue_round ~producers ~consumers ~items ~capacity =
-  let q = Bounded_queue.create ~capacity in
+  let q = Mailbox.create ~capacity () in
   let accepted = Array.make producers 0 in
   let accepted_sum = Array.make producers 0 in
   let producer p () =
     for i = 1 to items do
       let v = (p * items) + i in
       let rec offer () =
-        match Bounded_queue.try_push q v with
+        match Mailbox.try_push q v with
         | `Ok ->
             accepted.(p) <- accepted.(p) + 1;
             accepted_sum.(p) <- accepted_sum.(p) + v
@@ -42,7 +42,7 @@ let queue_round ~producers ~consumers ~items ~capacity =
   let got_sum = Array.make consumers 0 in
   let consumer c () =
     let rec drain () =
-      match Bounded_queue.pop q with
+      match Mailbox.pop q with
       | Some v ->
           got.(c) <- got.(c) + 1;
           got_sum.(c) <- got_sum.(c) + v;
@@ -54,11 +54,11 @@ let queue_round ~producers ~consumers ~items ~capacity =
   let cs = spawn_all (List.init consumers (fun c -> consumer c)) in
   let ps = spawn_all (List.init producers (fun p -> producer p)) in
   join_all ps;
-  Bounded_queue.close q;
+  Mailbox.close q;
   join_all cs;
   let total a = Array.fold_left ( + ) 0 a in
   (total accepted, total accepted_sum, total got, total got_sum,
-   Bounded_queue.length q)
+   Mailbox.length q)
 
 let prop_queue_conserves =
   QCheck.Test.make ~count:12 ~name:"bounded queue conserves items"
