@@ -17,6 +17,7 @@ module Minwork = Dmw_mechanism.Minwork
 module Schedule = Dmw_mechanism.Schedule
 module Optimal = Dmw_mechanism.Optimal
 module Workload = Dmw_workload.Workload
+module Counters = Dmw_modular.Zmod.Counters
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -88,11 +89,23 @@ let table1_communication () =
 let table1_computation () =
   section
     "T1-comp: Table 1 / computational cost (paper: MinWork Θ(mn), DMW O(mn² log p))";
+  (* One sim run of the whole protocol with the Zmod counters on; the
+     counts and the wall time cover all n agents, so each is divided by
+     n. *)
   let cost ~n ~m ~group_bits =
     let p = make_params ~n ~m ~group_bits () in
     let rng = Prng.create ~seed:(n + m) in
     let bids = uniform_bids rng p in
-    Direct.agent_cost p ~bids ~agent:0
+    Counters.reset ();
+    Counters.enable ();
+    let t0 = Unix.gettimeofday () in
+    let r = Dmw_exec.run ~seed:5 p ~bids ~keep_events:false in
+    let seconds = Unix.gettimeofday () -. t0 in
+    Counters.disable ();
+    assert (Dmw_exec.completed r);
+    ( Counters.multiplications () / n,
+      Counters.exponentiations () / n,
+      seconds /. float_of_int n )
   in
   Printf.printf "\n-- per-agent cost, scaling in n (m = 2, 64-bit group) --\n";
   Printf.printf "%4s %12s %12s %10s %14s\n" "n" "mod-muls" "mod-exps" "time (s)"
@@ -101,14 +114,13 @@ let table1_computation () =
   let exps =
     List.map
       (fun n ->
-        let c = cost ~n ~m:2 ~group_bits:64 in
-        let mw =
-          Direct.minwork_cost
-            ~bids:(Array.make n (Array.make 2 1.0))
-        in
-        Printf.printf "%4d %12d %12d %10.4f %14.6f\n%!" n c.Direct.multiplications
-          c.Direct.exponentiations c.Direct.seconds mw.Direct.seconds;
-        float_of_int c.Direct.exponentiations)
+        let muls, exps, seconds = cost ~n ~m:2 ~group_bits:64 in
+        let t0 = Unix.gettimeofday () in
+        ignore (Minwork.run (Array.make_matrix n 2 1.0));
+        let minwork = Unix.gettimeofday () -. t0 in
+        Printf.printf "%4d %12d %12d %10.4f %14.6f\n%!" n muls exps seconds
+          minwork;
+        float_of_int exps)
       ns
   in
   Printf.printf "fitted exponent of n for per-agent mod-exps: %.2f (theory 2)\n"
@@ -119,10 +131,9 @@ let table1_computation () =
   let exps_m =
     List.map
       (fun m ->
-        let c = cost ~n:8 ~m ~group_bits:64 in
-        Printf.printf "%4d %12d %12d %10.4f\n%!" m c.Direct.multiplications
-          c.Direct.exponentiations c.Direct.seconds;
-        float_of_int c.Direct.exponentiations)
+        let muls, exps, seconds = cost ~n:8 ~m ~group_bits:64 in
+        Printf.printf "%4d %12d %12d %10.4f\n%!" m muls exps seconds;
+        float_of_int exps)
       ms
   in
   Printf.printf "fitted exponent of m for per-agent mod-exps: %.2f (theory 1)\n"
@@ -134,15 +145,16 @@ let table1_computation () =
   let base = ref 0.0 in
   List.iter
     (fun group_bits ->
-      let c = cost ~n:8 ~m:2 ~group_bits in
-      if group_bits = 64 then base := c.Direct.seconds;
-      Printf.printf "%6d %12d %12d %10.4f %16.2f\n%!" group_bits
-        c.Direct.multiplications c.Direct.exponentiations c.Direct.seconds
-        (c.Direct.seconds /. !base))
+      let muls, exps, seconds = cost ~n:8 ~m:2 ~group_bits in
+      if group_bits = 64 then base := seconds;
+      Printf.printf "%6d %12d %12d %10.4f %16.2f\n%!" group_bits muls exps
+        seconds (seconds /. !base))
     [ 64; 128; 256; 512 ];
   Printf.printf
-    "(mod-exp/mod-mul counts are size-independent; the growing wall time is\n";
-  Printf.printf " exactly the O(log p) arithmetic factor of Theorem 12)\n"
+    "(mod-exps do not depend on the group size; mod-muls per mod-exp grow\n";
+  Printf.printf
+    " linearly in log p, which is Theorem 12's log p factor, and wall time\n";
+  Printf.printf " grows faster because each mod-mul also costs more at larger p)\n"
 
 (* ------------------------------------------------------------------ *)
 (* F2-seq: Fig. 2, the message sequence                                *)
@@ -660,63 +672,6 @@ let equivalence_check () =
   Printf.printf "(allocation, ties and payments all agree with Def. 5 + eq. (1))\n"
 
 (* ------------------------------------------------------------------ *)
-(* µ-crypto: microbenchmarks of the primitives                         *)
-
-let micro_crypto () =
-  section "micro_crypto: primitive costs (Bechamel, OLS estimate per call)";
-  let open Bechamel in
-  let run_test name f =
-    let test = Test.make ~name (Staged.stage f) in
-    let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.25) () in
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-    in
-    List.iter
-      (fun elt ->
-        let raw = Benchmark.run cfg Toolkit.Instance.[ monotonic_clock ] elt in
-        let result = Analyze.one ols Toolkit.Instance.monotonic_clock raw in
-        match Analyze.OLS.estimates result with
-        | Some [ est ] -> Printf.printf "%-36s %12.1f ns/call\n%!" name est
-        | _ -> Printf.printf "%-36s (no estimate)\n%!" name)
-      (Test.elements test)
-  in
-  List.iter
-    (fun bits ->
-      let g = Dmw_modular.Group.standard ~bits in
-      let rng = Prng.create ~seed:bits in
-      let e = Dmw_modular.Group.random_exponent g rng in
-      run_test
-        (Printf.sprintf "modexp (%d-bit group)" bits)
-        (fun () -> ignore (Dmw_modular.Group.pow g g.Dmw_modular.Group.z1 e));
-      let ctx = Dmw_modular.Montgomery.create g.Dmw_modular.Group.p in
-      run_test
-        (Printf.sprintf "modexp montgomery (%d-bit)" bits)
-        (fun () -> ignore (Dmw_modular.Montgomery.pow ctx g.Dmw_modular.Group.z1 e)))
-    [ 64; 128; 256; 512; 1024 ];
-  let g = Dmw_modular.Group.standard ~bits:64 in
-  let rng = Prng.create ~seed:1 in
-  let v = Dmw_modular.Group.random_exponent g rng in
-  let b = Dmw_modular.Group.random_exponent g rng in
-  run_test "pedersen commit (64-bit)" (fun () ->
-      ignore (Dmw_crypto.Pedersen.commit g ~value:v ~blinding:b));
-  let sigma = 8 in
-  let dealer = Dmw_crypto.Bid_commitments.generate rng ~group:g ~sigma ~tau:4 in
-  let alpha = Bigint.of_int 3 in
-  let share = Dmw_crypto.Bid_commitments.share_for dealer ~alpha in
-  run_test "bundle generate (sigma=8)" (fun () ->
-      ignore (Dmw_crypto.Bid_commitments.generate rng ~group:g ~sigma ~tau:4));
-  run_test "share verify, eqs 7-9 (sigma=8)" (fun () ->
-      ignore
-        (Dmw_crypto.Bid_commitments.verify_share g dealer.Dmw_crypto.Bid_commitments.public
-           ~alpha share));
-  let q = g.Dmw_modular.Group.q in
-  let poly = Dmw_poly.Poly.random rng ~modulus:q ~degree:6 ~zero_constant:true in
-  let points = Array.init 10 (fun i -> Bigint.of_int (i + 1)) in
-  let values = Array.map (Dmw_poly.Poly.eval poly) points in
-  run_test "degree resolution (deg 6, 10 pts)" (fun () ->
-      ignore (Dmw_poly.Degree_resolution.resolve_exact ~modulus:q ~points ~values))
-
-(* ------------------------------------------------------------------ *)
 (* A-backend: the same instance on every execution backend             *)
 
 let backend_matrix () =
@@ -1089,8 +1044,7 @@ let experiments =
     ("fault_matrix", fault_matrix);
     ("frugality", frugality);
     ("equivalence_check", equivalence_check);
-    ("mechanism_matrix", mechanism_matrix);
-    ("micro_crypto", micro_crypto) ]
+    ("mechanism_matrix", mechanism_matrix) ]
 
 let () =
   let requested =

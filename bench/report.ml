@@ -80,24 +80,27 @@ let add_custom ~experiment fields =
   custom_rows := Printf.sprintf "{%s}" body :: !custom_rows
 
 let flush ?(path = "BENCH_10.json") () =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) @@ fun () ->
-  output_string oc "[";
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc "%s\n  {\"experiment\":%S,\"backend\":%S,\"n\":%d,\"m\":%d,\"msgs\":%d,\"bytes\":%d,\"modexps\":%d,\"wall_ns\":%d,\"duration_ns\":%d}"
-        (if i = 0 then "" else ",")
-        r.experiment r.backend r.n r.m r.msgs r.bytes r.modexps r.wall_ns
-        r.duration_ns)
-    (List.rev !rows);
   let measured = List.length !rows in
-  List.iteri
-    (fun i row ->
-      Printf.fprintf oc "%s\n  %s"
-        (if measured = 0 && i = 0 then "" else ",")
-        row)
-    (List.rev !custom_rows);
-  output_string oc "\n]\n";
-  Printf.printf "\nwrote %d bench rows to %s\n"
-    (measured + List.length !custom_rows)
-    path
+  let total = measured + List.length !custom_rows in
+  (* A run whose experiments measured nothing keeps the previous file. *)
+  if total = 0 then Printf.printf "\nno bench rows; left %s as it was\n" path
+  else begin
+    let oc = open_out path in
+    Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
+        output_string oc "[";
+        List.iteri
+          (fun i r ->
+            Printf.fprintf oc "%s\n  {\"experiment\":%S,\"backend\":%S,\"n\":%d,\"m\":%d,\"msgs\":%d,\"bytes\":%d,\"modexps\":%d,\"wall_ns\":%d,\"duration_ns\":%d}"
+              (if i = 0 then "" else ",")
+              r.experiment r.backend r.n r.m r.msgs r.bytes r.modexps r.wall_ns
+              r.duration_ns)
+          (List.rev !rows);
+        List.iteri
+          (fun i row ->
+            Printf.fprintf oc "%s\n  %s"
+              (if measured = 0 && i = 0 then "" else ",")
+              row)
+          (List.rev !custom_rows);
+        output_string oc "\n]\n");
+    Printf.printf "\nwrote %d bench rows to %s\n" total path
+  end

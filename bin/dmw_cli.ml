@@ -307,12 +307,16 @@ let sweep_cmd =
       let bids =
         Dmw_workload.Workload.random_levels rng ~n:!n ~m ~w_max:params.Params.w_max
       in
+      let module Counters = Dmw_modular.Zmod.Counters in
+      Counters.reset ();
+      Counters.enable ();
       let r = Dmw_exec.run ~seed params ~bids ~keep_events:false in
-      let cost = Direct.agent_cost params ~bids ~agent:0 in
+      Counters.disable ();
       Printf.printf "%4d %10d %12d %12d %12d\n%!" !n
         (Dmw_sim.Trace.messages r.Dmw_exec.trace)
         (Dmw_sim.Trace.bytes r.Dmw_exec.trace)
-        cost.Direct.multiplications cost.Direct.exponentiations;
+        (Counters.multiplications () / !n)
+        (Counters.exponentiations () / !n);
       n := !n + 4
     done;
     0

@@ -14,11 +14,12 @@
       exclusion) and repeat.
 
     After M rounds the next resolution yields the clearing price. The
-    computation below is the [Direct]-style (non-simulated) form; it
-    shares {!Resolution} with the protocol agents. Privacy degrades
-    gracefully: the M winners' bids and the (M+1)st price become
-    public, losing bids beyond the price stay hidden — the same
-    boundary the paper's Theorem 10 remark describes for M = 1. *)
+    computation below runs as straight-line calls, without the
+    simulator; it shares {!Resolution} with the protocol agents.
+    Privacy degrades gracefully: the M winners' bids and the (M+1)st
+    price become public, losing bids beyond the price stay hidden —
+    the same boundary the paper's Theorem 10 remark describes for
+    M = 1. *)
 
 type outcome = {
   winners : int list;  (** Agent indices in selection order (ascending bids). *)

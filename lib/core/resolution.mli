@@ -1,10 +1,10 @@
 (** Pure per-auction computations of Phase III.
 
     These are the deterministic functions every agent evaluates on the
-    public transcript; factoring them out ensures the simulated agents
-    ({!Agent}) and the fast path ({!Direct}) compute the outcome with
-    literally the same code, so their agreement (asserted by the test
-    suite) is meaningful. *)
+    public transcript; the protocol agents ({!Agent}), the public
+    auditor ({!Transcript}) and the multi-unit auction ({!Multiunit})
+    share them. The test suite checks the agents' outcome against the
+    centralized MinWork, which shares none of this code. *)
 
 open Dmw_bigint
 open Dmw_modular

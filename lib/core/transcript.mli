@@ -47,8 +47,8 @@ type error =
   | Malformed of string
 
 val of_direct : ?seed:int -> Params.t -> bids:int array -> t
-(** The transcript an honest single-task execution publishes (same
-    computation path as {!Direct}). *)
+(** The transcript an honest single-task execution publishes,
+    computed as straight-line calls through {!Resolution}. *)
 
 val audit : Params.t -> t -> (verdict, error) result
 (** Replay all public checks and recompute the outcome. *)

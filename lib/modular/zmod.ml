@@ -62,34 +62,19 @@ let inv m a =
   if not (Bigint.equal g Bigint.one) then raise Not_found;
   Bigint.erem x m
 
-(* Hook filled by Montgomery at load time (it depends on this module,
-   so it cannot be called directly here). It returns [None] when it
-   declines (modulus even or below its profitability threshold), in
-   which case the direct square-and-multiply path below runs. *)
-(* race: confined readonly: installed once when Montgomery loads,
-   before any protocol thread starts; read-only afterwards. *)
-let fast_pow : (Bigint.t -> Bigint.t -> Bigint.t -> Bigint.t option) ref =
-  ref (fun _ _ _ -> None)
-
-let pow_direct m b e =
-  let b = Bigint.erem b m in
-  let n = Bigint.num_bits e in
-  (* Left-to-right binary exponentiation. *)
-  let acc = ref Bigint.one in
-  for i = n - 1 downto 0 do
-    acc := mul m !acc !acc;
-    if Bigint.testbit e i then acc := mul m !acc b
-  done;
-  !acc
-
 let rec pow m b e =
   check_modulus m;
   if Bigint.sign e < 0 then pow m (inv m b) (Bigint.neg e)
   else begin
     Counters.bump_pow ();
-    match !fast_pow m b e with
-    | Some r -> r
-    | None -> pow_direct m b e
+    let b = Bigint.erem b m in
+    (* Left-to-right binary exponentiation. *)
+    let acc = ref Bigint.one in
+    for i = Bigint.num_bits e - 1 downto 0 do
+      acc := mul m !acc !acc;
+      if Bigint.testbit e i then acc := mul m !acc b
+    done;
+    !acc
   end
 
 let div m a b = mul m a (inv m b)

@@ -31,12 +31,6 @@ val div : Bigint.t -> Bigint.t -> Bigint.t -> Bigint.t
 val egcd : Bigint.t -> Bigint.t -> Bigint.t * Bigint.t * Bigint.t
 (** [egcd a b = (g, x, y)] with [a*x + b*y = g = gcd(a,b)], [g >= 0]. *)
 
-val fast_pow : (Bigint.t -> Bigint.t -> Bigint.t -> Bigint.t option) ref
-(** Extension point used by {!Montgomery} (which depends on this
-    module and registers itself at load time): called by {!pow} with
-    [(m, b, e)], [e >= 0]; returning [None] falls back to the direct
-    square-and-multiply path. Not intended for application code. *)
-
 val gcd : Bigint.t -> Bigint.t -> Bigint.t
 
 (** Operation counters, used by the Table 1 computational-cost bench.
@@ -48,10 +42,6 @@ module Counters : sig
 
   val multiplications : unit -> int
   (** Modular multiplications/squarings performed since [reset]. *)
-
-  val bump_mul : unit -> unit
-  (** Count one modular multiplication performed by an alternate
-      arithmetic path (e.g. {!Montgomery}); no-op while disabled. *)
 
   val exponentiations : unit -> int
   (** Modular exponentiations performed since [reset]. *)

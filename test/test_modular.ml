@@ -72,6 +72,28 @@ let test_counters () =
   Zmod.Counters.reset ();
   Alcotest.(check int) "reset" 0 (Zmod.Counters.multiplications ())
 
+(* One modexp path at every size: square-and-multiply does one squaring
+   per exponent bit and one multiplication per set bit. *)
+let test_pow_square_and_multiply_counts () =
+  let rng = Prng.create ~seed:404 in
+  List.iter
+    (fun bits ->
+      let g = Group.standard ~bits in
+      let b = Prng.below rng g.Group.p and e = Prng.below rng g.Group.q in
+      let popcount =
+        List.length
+          (List.filter (Bigint.testbit e) (List.init (Bigint.num_bits e) Fun.id))
+      in
+      Zmod.Counters.reset ();
+      Zmod.Counters.enable ();
+      ignore (Zmod.pow g.Group.p b e);
+      Zmod.Counters.disable ();
+      Alcotest.(check int)
+        (Printf.sprintf "%d-bit muls" bits)
+        (Bigint.num_bits e + popcount)
+        (Zmod.Counters.multiplications ()))
+    [ 64; 512 ]
+
 (* ------------------------------------------------------------------ *)
 (* Zmod properties                                                     *)
 
@@ -107,59 +129,6 @@ let prop_egcd_divides =
       QCheck.assume (not (Bigint.is_zero a) && not (Bigint.is_zero b));
       let g = Zmod.gcd a b in
       Bigint.is_zero (Bigint.erem a g) && Bigint.is_zero (Bigint.erem b g))
-
-(* ------------------------------------------------------------------ *)
-(* Montgomery                                                          *)
-
-let test_montgomery_matches_zmod () =
-  let rng = Prng.create ~seed:404 in
-  List.iter
-    (fun bits ->
-      let g = Group.standard ~bits in
-      let ctx = Montgomery.create g.Group.p in
-      for _ = 1 to 25 do
-        let b = Prng.below rng g.Group.p in
-        let e = Prng.below rng g.Group.q in
-        check_bigint
-          (Printf.sprintf "%d bits" bits)
-          (Zmod.pow g.Group.p b e)
-          (Montgomery.pow ctx b e)
-      done)
-    [ 64; 128; 512 ]
-
-let test_montgomery_edge_cases () =
-  let g = Group.standard ~bits:64 in
-  let ctx = Montgomery.create g.Group.p in
-  check_bigint "b^0 = 1" Bigint.one (Montgomery.pow ctx (bi "5") Bigint.zero);
-  check_bigint "0^e = 0" Bigint.zero (Montgomery.pow ctx Bigint.zero (bi "5"));
-  check_bigint "1^e = 1" Bigint.one (Montgomery.pow ctx Bigint.one (bi "999"));
-  check_bigint "fermat" Bigint.one (Montgomery.pow ctx g.Group.z1 g.Group.q);
-  check_bigint "mul" (Zmod.mul g.Group.p (bi "1234567") (bi "7654321"))
-    (Montgomery.mul ctx (bi "1234567") (bi "7654321"))
-
-let test_montgomery_validation () =
-  Alcotest.check_raises "even modulus"
-    (Invalid_argument "Montgomery.create: modulus must be odd") (fun () ->
-      ignore (Montgomery.create (bi "100")));
-  Alcotest.check_raises "tiny modulus"
-    (Invalid_argument "Montgomery.create: modulus too small") (fun () ->
-      ignore (Montgomery.create Bigint.one))
-
-let test_zmod_pow_delegates_above_threshold () =
-  (* At 512 bits Zmod.pow runs through the Montgomery fast path; the
-     result must still satisfy the subgroup identity. *)
-  Alcotest.(check bool) "threshold sane" true
-    (Montgomery.auto_threshold_bits > 128 && Montgomery.auto_threshold_bits <= 512);
-  let g = Group.standard ~bits:512 in
-  check_bigint "z1^q = 1 via fast path" Bigint.one
-    (Zmod.pow g.Group.p g.Group.z1 g.Group.q);
-  (* Counters still track exponentiations on the fast path. *)
-  Zmod.Counters.reset ();
-  Zmod.Counters.enable ();
-  ignore (Zmod.pow g.Group.p g.Group.z2 (bi "123456789"));
-  Zmod.Counters.disable ();
-  Alcotest.(check int) "pow counted" 1 (Zmod.Counters.exponentiations ());
-  Alcotest.(check bool) "muls counted" true (Zmod.Counters.multiplications () > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Primality                                                           *)
@@ -335,18 +304,14 @@ let () =
          Alcotest.test_case "non-invertible" `Quick test_inv_not_invertible;
          Alcotest.test_case "negative exponent" `Quick test_negative_exponent;
          Alcotest.test_case "egcd bezout" `Quick test_egcd_bezout;
-         Alcotest.test_case "counters" `Quick test_counters ]);
+         Alcotest.test_case "counters" `Quick test_counters;
+         Alcotest.test_case "square-and-multiply counts" `Quick
+           test_pow_square_and_multiply_counts ]);
       qsuite "zmod properties"
         [ prop_field_inverse;
           prop_pow_adds_exponents;
           prop_pow_mul_exponents;
           prop_egcd_divides ];
-      ("montgomery",
-       [ Alcotest.test_case "matches zmod" `Quick test_montgomery_matches_zmod;
-         Alcotest.test_case "edge cases" `Quick test_montgomery_edge_cases;
-         Alcotest.test_case "validation" `Quick test_montgomery_validation;
-         Alcotest.test_case "fast-path delegation" `Quick
-           test_zmod_pow_delegates_above_threshold ]);
       ("primality",
        [ Alcotest.test_case "small prime table" `Quick test_small_primes_sound;
          Alcotest.test_case "known primes" `Quick test_known_primes;

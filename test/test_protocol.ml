@@ -84,18 +84,6 @@ let test_tie_breaks_to_smallest_pseudonym () =
   | Some sp -> Alcotest.(check int) "second price equals bid" 1 sp.(0)
   | None -> Alcotest.fail "no second price"
 
-let test_matches_direct_execution () =
-  let p = params () in
-  let r = run p in
-  let d = Direct.run p ~bids:bids0 in
-  (match r.Dmw_exec.schedule with
-  | Some s -> Alcotest.(check bool) "same schedule" true (Schedule.equal s d.Direct.schedule)
-  | None -> Alcotest.fail "did not complete");
-  Alcotest.(check (option (array int))) "first prices" (Some d.Direct.first_prices)
-    r.Dmw_exec.first_prices;
-  Alcotest.(check (option (array int))) "second prices" (Some d.Direct.second_prices)
-    r.Dmw_exec.second_prices
-
 let test_deterministic_given_seeds () =
   let p = params () in
   let r1 = run p and r2 = run p in
@@ -827,7 +815,6 @@ let () =
          Alcotest.test_case "first/second prices" `Quick
            test_prices_are_first_and_second_minima;
          Alcotest.test_case "pseudonym tie-break" `Quick test_tie_breaks_to_smallest_pseudonym;
-         Alcotest.test_case "matches Direct" `Quick test_matches_direct_execution;
          Alcotest.test_case "deterministic" `Quick test_deterministic_given_seeds;
          Alcotest.test_case "verification log" `Quick test_checks_performed_positive;
          Alcotest.test_case "256-bit group end-to-end" `Slow

@@ -27,11 +27,17 @@ let test_table1_communication_shape () =
     (exponent > 1.7 && exponent < 2.4)
 
 let test_table1_computation_shape () =
+  (* Per-agent mod-exps: one sim run's total over n. *)
   let exps n =
+    let module Counters = Dmw_modular.Zmod.Counters in
     let p = Params.make_exn ~group_bits:64 ~seed:3 ~n ~m:1 ~c:1 () in
     let bids = Array.init n (fun i -> [| 1 + (i mod p.Params.w_max) |]) in
-    let c = Direct.agent_cost p ~bids ~agent:0 in
-    float_of_int c.Direct.exponentiations
+    Counters.reset ();
+    Counters.enable ();
+    let r = Dmw_exec.run ~seed:5 p ~bids ~keep_events:false in
+    Counters.disable ();
+    Alcotest.(check bool) "completed" true (Dmw_exec.completed r);
+    float_of_int (Counters.exponentiations ()) /. float_of_int n
   in
   let ns = [ 4; 6; 8; 10 ] in
   let exponent = Stats.scaling_exponent ~xs:ns ~ys:(List.map exps ns) in

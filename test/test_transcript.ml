@@ -33,13 +33,16 @@ let test_honest_audits_clean () =
   Alcotest.(check int) "y**" 2 v.Transcript.y_star2;
   Alcotest.(check bool) "many checks" true (v.Transcript.checks >= 2 * 6)
 
-let test_matches_direct_and_protocol () =
+let test_matches_protocol () =
   let v = expect_ok (honest ()) in
-  let d = Direct.run params ~bids:(Array.map (fun y -> [| y |]) bids) in
-  Alcotest.(check int) "winner" (Dmw_mechanism.Schedule.agent_of d.Direct.schedule ~task:0)
-    v.Transcript.winner;
-  Alcotest.(check int) "y*" d.Direct.first_prices.(0) v.Transcript.y_star;
-  Alcotest.(check int) "y**" d.Direct.second_prices.(0) v.Transcript.y_star2
+  let r = Dmw_exec.run params ~bids:(Array.map (fun y -> [| y |]) bids) in
+  match (r.Dmw_exec.schedule, r.Dmw_exec.first_prices, r.Dmw_exec.second_prices) with
+  | Some s, Some fp, Some sp ->
+      Alcotest.(check int) "winner" (Dmw_mechanism.Schedule.agent_of s ~task:0)
+        v.Transcript.winner;
+      Alcotest.(check int) "y*" fp.(0) v.Transcript.y_star;
+      Alcotest.(check int) "y**" sp.(0) v.Transcript.y_star2
+  | _ -> Alcotest.fail "protocol run did not complete"
 
 let forged_element () =
   let g = params.Params.group in
@@ -147,7 +150,7 @@ let () =
   Alcotest.run "dmw_transcript"
     [ ("public audit",
        [ Alcotest.test_case "honest transcript" `Quick test_honest_audits_clean;
-         Alcotest.test_case "agrees with Direct" `Quick test_matches_direct_and_protocol;
+         Alcotest.test_case "agrees with protocol run" `Quick test_matches_protocol;
          Alcotest.test_case "forged lambda" `Quick test_forged_lambda_caught;
          Alcotest.test_case "forged psi" `Quick test_forged_psi_caught;
          Alcotest.test_case "forged disclosure" `Quick test_forged_disclosure_caught;

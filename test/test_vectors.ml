@@ -127,15 +127,17 @@ let test_golden_outcomes () =
             Array.init n (fun i ->
                 Array.init m (fun j -> List.nth bids_flat ((i * m) + j)))
           in
-          let o = Dmw_core.Direct.run ~seed p ~bids in
-          Alcotest.(check (list int))
+          let r = Dmw_exec.run ~seed p ~bids ~keep_events:false in
+          Alcotest.(check (option (list int)))
             (Printf.sprintf "assignment n=%d m=%d seed=%d" n m seed)
-            assignment
-            (Array.to_list (Dmw_mechanism.Schedule.assignment o.Dmw_core.Direct.schedule));
-          Alcotest.(check (list int)) "first prices" y1
-            (Array.to_list o.Dmw_core.Direct.first_prices);
-          Alcotest.(check (list int)) "second prices" y2
-            (Array.to_list o.Dmw_core.Direct.second_prices)
+            (Some assignment)
+            (Option.map
+               (fun s -> Array.to_list (Dmw_mechanism.Schedule.assignment s))
+               r.Dmw_exec.schedule);
+          Alcotest.(check (option (list int))) "first prices" (Some y1)
+            (Option.map Array.to_list r.Dmw_exec.first_prices);
+          Alcotest.(check (option (list int))) "second prices" (Some y2)
+            (Option.map Array.to_list r.Dmw_exec.second_prices)
       | _ -> Alcotest.failf "malformed golden line: %s" (String.concat " " fields))
     vectors
 

@@ -85,7 +85,7 @@ let rec last_opt = function
    bignums, field/group elements, commitments, shares and the
    variant types with dedicated [equal]s. *)
 let sensitive_mods =
-  [ "Bigint"; "Nat"; "Zmod"; "Montgomery"; "Group"; "Pedersen"; "Share";
+  [ "Bigint"; "Nat"; "Zmod"; "Group"; "Pedersen"; "Share";
     "Bid_commitments"; "Exponent_resolution"; "Messages"; "Strategy"; "Audit" ]
 
 (* Functions from sensitive modules that return ints/bools/strings —
