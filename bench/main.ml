@@ -672,57 +672,6 @@ let equivalence_check () =
   Printf.printf "(allocation, ties and payments all agree with Def. 5 + eq. (1))\n"
 
 (* ------------------------------------------------------------------ *)
-(* A-backend: the same instance on every execution backend             *)
-
-let backend_matrix () =
-  section "A-backend: one instance on every execution backend";
-  let p = make_params ~n:6 ~m:2 () in
-  let rng = Prng.create ~seed:51 in
-  let bids = uniform_bids rng p in
-  Printf.printf
-    "\nSame params, bids and seed on each backend; the harness guarantees\n\
-     bit-identical schedules, prices and payments (n = %d, m = %d):\n\n"
-    p.Params.n p.Params.m;
-  Printf.printf "%-10s %10s %12s %12s %12s\n" "backend" "messages" "bytes"
-    "time (s)" "status";
-  let reference = ref None in
-  let bad = ref 0 in
-  List.iter
-    (fun backend ->
-      let r, row =
-        Report.measure ~experiment:"backend_matrix"
-          ~backend:(Dmw_exec.backend_name backend) ~n:p.Params.n ~m:p.Params.m
-          (fun () -> Dmw_exec.run ~seed:5 p ~bids ~keep_events:false ~backend)
-      in
-      let wall = float_of_int row.Report.wall_ns *. 1e-9 in
-      let agree =
-        match !reference with
-        | None ->
-            reference := Some r;
-            true
-        | Some r0 ->
-            r.Dmw_exec.schedule = r0.Dmw_exec.schedule
-            && r.Dmw_exec.first_prices = r0.Dmw_exec.first_prices
-            && r.Dmw_exec.second_prices = r0.Dmw_exec.second_prices
-            && r.Dmw_exec.payments = r0.Dmw_exec.payments
-      in
-      if not (Dmw_exec.completed r && agree) then incr bad;
-      Printf.printf "%-10s %10d %12d %12.3f %12s\n%!"
-        (Dmw_exec.backend_name backend)
-        row.Report.msgs row.Report.bytes wall
-        (if not (Dmw_exec.completed r) then "FAILED"
-         else if agree then "ok"
-         else "MISMATCH (!)"))
-    [ Dmw_exec.sim (); Dmw_exec.threads (); Dmw_exec.socket () ];
-  Printf.printf
-    "\n(sim time is virtual; threads/socket pay real scheduling and, for\n\
-     socket, full Codec + kernel round-trips per message.)\n";
-  if !bad > 0 then begin
-    Printf.eprintf "%d backend(s) failed or disagreed with sim\n" !bad;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
 (* A-pipeline: admission-window depth vs completion latency            *)
 
 let pipeline_depth () =
@@ -809,8 +758,8 @@ let fault_matrix () =
   in
   Printf.printf
     "\nSame instance (n = %d, m = %d, w_max = %d) under each fault policy on\n\
-     every backend. 'status' is consensus-or-clean-abort; 'agree' checks\n\
-     the three backends produced bit-identical outcomes (the chaos-test\n\
+     both backends. 'status' is consensus-or-clean-abort; 'agree' checks\n\
+     the two backends produced bit-identical outcomes (the chaos-test\n\
      invariant); wall time shows what retransmission and watchdog\n\
      machinery cost on each fabric.\n\n"
     p.Params.n p.Params.m p.Params.w_max;
@@ -858,12 +807,12 @@ let fault_matrix () =
             (Dmw_exec.backend_name backend)
             row.Report.msgs wall r.Dmw_exec.attempts status
             (if agree then "yes" else "NO (!)"))
-        [ Dmw_exec.sim (); Dmw_exec.threads (); Dmw_exec.socket () ])
+        [ Dmw_exec.sim (); Dmw_exec.socket () ])
     scenarios;
   Printf.printf
     "\n(sim resolves delays in virtual time, so its wall time barely moves\n\
-     under faults; threads/socket pay the retransmission spacing and, for\n\
-     the crash rows, one watchdog period before the re-auction or abort.)\n"
+     under faults; socket pays the retransmission spacing and, for the\n\
+     crash rows, one watchdog period before the re-auction or abort.)\n"
 
 (* ------------------------------------------------------------------ *)
 (* S-scale: a larger run, not part of the default set                  *)
@@ -1039,7 +988,6 @@ let experiments =
     ("multiunit_check", multiunit_check);
     ("baseline_comparison", baseline_comparison);
     ("completion_time", completion_time);
-    ("backend_matrix", backend_matrix);
     ("pipeline_depth", pipeline_depth);
     ("fault_matrix", fault_matrix);
     ("frugality", frugality);

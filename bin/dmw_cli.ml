@@ -102,16 +102,15 @@ let run_cmd =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Log protocol phase transitions.")
   in
   let backend =
-    Arg.(value & opt (enum [ ("sim", `Sim); ("threads", `Threads); ("socket", `Socket) ]) `Sim
+    Arg.(value & opt (enum [ ("sim", `Sim); ("socket", `Socket) ]) `Sim
          & info [ "backend" ] ~docv:"BACKEND"
-             ~doc:"Execution backend: sim (discrete-event simulator), threads \
-                   (one OS thread per agent), or socket (agents as endpoints \
-                   over Unix-domain sockets).")
+             ~doc:"Execution backend: sim (discrete-event simulator) or \
+                   socket (agents as endpoints over Unix-domain sockets).")
   in
   let timeout =
     Arg.(value & opt float 30.0
          & info [ "timeout" ] ~docv:"SECONDS"
-             ~doc:"Wall-clock deadline for the threads/socket backends.")
+             ~doc:"Wall-clock deadline for the socket backend.")
   in
   let hardened =
     Arg.(value & flag
@@ -174,7 +173,6 @@ let run_cmd =
     let backend =
       match backend with
       | `Sim -> Dmw_exec.sim ()
-      | `Threads -> Dmw_exec.threads ~timeout ()
       | `Socket -> Dmw_exec.socket ~timeout ()
     in
     if Option.is_some metrics then Dmw_obs.Metrics.enable ();

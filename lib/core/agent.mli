@@ -107,11 +107,11 @@ val create :
     zero overhead. *)
 
 (** How an agent talks to the world. [Dmw_exec]'s backends build one
-    each: from the discrete-event engine, from real mailboxes and
-    timers, or from a socket endpoint's event loop. All callbacks into
-    the agent ({!handle} and scheduled actions) must be serialized per
-    agent — the simulator is single-threaded, and the real-time
-    backends route timer ticks through the agent's own event loop. *)
+    each: from the discrete-event engine, or from a socket endpoint's
+    event loop. All callbacks into the agent ({!handle} and scheduled
+    actions) must be serialized per agent — the simulator is
+    single-threaded, and the socket endpoint routes timer ticks
+    through the agent's own event loop. *)
 type transport = {
   send : dst:int -> tag:string -> bytes:int -> Messages.t -> unit;
   schedule : delay:float -> (unit -> unit) -> unit;

@@ -3,7 +3,6 @@ open Dmw_core
 module Trace = Dmw_sim.Trace
 module Engine = Dmw_sim.Engine
 module Mailbox = Dmw_runtime.Mailbox
-module Timer = Dmw_runtime.Timer
 module Mutex_util = Dmw_runtime.Mutex_util
 module Frame = Dmw_net.Frame
 module Fabric = Dmw_net.Fabric
@@ -311,147 +310,6 @@ module Sim_backend = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Shared machinery of the real-time backends                          *)
-(* ------------------------------------------------------------------ *)
-
-(* A trace fed concurrently by every agent thread; event times are
-   wall-clock seconds on the backend's clock [now]. *)
-let concurrent_trace ~keep_events ~now =
-  let trace = Trace.create ~keep_events () in
-  let mutex = Mutex.create () in
-  let record ~src ~dst ~tag ~bytes =
-    Mutex_util.with_lock mutex (fun () ->
-        Trace.record trace
-          { Trace.time = now (); src; dst; tag; bytes; broadcast = false })
-  in
-  (trace, record)
-
-(* Drain payment reports until every agent reported once or the
-   deadline passes (a stalled run — some agent aborted — never
-   produces all n reports). [next] blocks up to the given number of
-   seconds for one report and returns [None] when nothing arrived in
-   that slice. [finished] — given the received-so-far membership test —
-   says whether further reports can still come (every agent reported,
-   aborted, or already dispatched its report); once it turns true the
-   drain continues for one short grace window to catch reports that
-   were sent but are still in flight, then stops without waiting out
-   the full deadline. *)
-let collect_grace = 0.25
-
-let collect_reports ~n ~deadline ~finished ~report next =
-  let received = Hashtbl.create n in
-  let continue_ = ref true in
-  let finished_at = ref None in
-  while !continue_ && Hashtbl.length received < n do
-    let now = Unix.gettimeofday () in
-    (match !finished_at with
-    | None -> if finished (Hashtbl.mem received) then finished_at := Some now
-    | Some _ -> ());
-    let stop_at =
-      match !finished_at with
-      | Some t -> Float.min deadline (t +. collect_grace)
-      | None -> deadline
-    in
-    let remaining = stop_at -. now in
-    if remaining <= 0.0 then continue_ := false
-    else
-      match next (Float.min remaining 0.05) with
-      | None -> () (* nothing this slice; re-check [finished] *)
-      | Some (src, payments) ->
-          if src >= 0 && src < n && not (Hashtbl.mem received src) then begin
-            Hashtbl.replace received src ();
-            report ~src payments
-          end
-  done
-
-(* Further reports can only come from agents that are still working:
-   not yet reported, not aborted, and not already past their Phase IV
-   send. Reading the agents' fields from the collector thread races
-   with their own threads only benignly (single word reads; a stale
-   value merely delays the early exit by a slice). *)
-let no_more_reports agents received =
-  Array.for_all
-    (fun a ->
-      received (Agent.id a)
-      || Option.is_some (Agent.aborted a)
-      || Option.is_some (Agent.reported_payments a))
-    agents
-
-(* ------------------------------------------------------------------ *)
-(* Backend: shared-memory threads                                      *)
-(* ------------------------------------------------------------------ *)
-
-module Thread_backend = struct
-  type config = { timeout : float }
-
-  let name = "threads"
-  let instance _ = None
-
-  type event = Deliver of { src : int; msg : Messages.t } | Act of (unit -> unit)
-
-  let execute cfg ~params ~seed:_ ~keep_events ~faults ~agents ~report =
-    let n = params.Params.n in
-    let t0 = Unix.gettimeofday () in
-    let now () = Unix.gettimeofday () -. t0 in
-    let trace, record = concurrent_trace ~keep_events ~now in
-    let boxes = Array.init n (fun _ -> Mailbox.create ()) in
-    let reports : (int * float array) Mailbox.t = Mailbox.create () in
-    let timer = Timer.create () in
-    let transports =
-      Array.init n (fun i ->
-          maybe_faults faults ~now ~src:i
-            (Obs.transport ~backend:name ~now ~src:i
-            { Agent.send =
-                (fun ~dst ~tag ~bytes msg ->
-                  record ~src:i ~dst ~tag ~bytes;
-                  if dst = n then
-                    match msg with
-                    | Messages.Payment_report { payments } ->
-                        Mailbox.push reports (i, payments)
-                    | Messages.Share _ | Messages.Commitments _
-                    | Messages.Lambda_psi _ | Messages.F_disclosure _
-                    | Messages.F_disclosure_hardened _
-                    | Messages.Lambda_psi_excl _ | Messages.Batch _
-                    | Messages.Scoped _ ->
-                        ()
-                  else if dst >= 0 && dst < n then
-                    Mailbox.push boxes.(dst) (Deliver { src = i; msg }));
-              schedule =
-                (fun ~delay f ->
-                  (* Ticks route through the agent's own mailbox so all
-                     agent mutations stay on its thread. *)
-                  Timer.schedule timer ~delay (fun () ->
-                      Mailbox.push boxes.(i) (Act f))) }))
-    in
-    let worker i =
-      Agent.start transports.(i) agents.(i);
-      let rec loop () =
-        match Mailbox.pop boxes.(i) with
-        | None -> ()
-        | Some (Deliver { src; msg }) ->
-            Obs.recv ~backend:name;
-            Agent.handle transports.(i) agents.(i) ~src msg;
-            loop ()
-        | Some (Act f) ->
-            f ();
-            loop ()
-      in
-      loop ()
-    in
-    let threads = Array.init n (fun i -> Thread.create worker i) in
-    collect_reports ~n ~deadline:(t0 +. cfg.timeout)
-      ~finished:(no_more_reports agents) ~report (fun remaining ->
-        Mailbox.pop ~timeout:remaining reports);
-    Array.iter Mailbox.close boxes;
-    Array.iter Thread.join threads;
-    Mailbox.close reports;
-    Timer.shutdown timer;
-    (* det: wallclock: duration is the measured wall time of the run —
-       reporting, never part of the consensus signature or the wire *)
-    { trace; duration = Unix.gettimeofday () -. t0 }
-end
-
-(* ------------------------------------------------------------------ *)
 (* Socket sessions                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -523,8 +381,8 @@ let epoch_report ~instance = function
   | Messages.Batch _ ->
       None
 
-(* The infrastructure endpoint's side of [collect_reports]: wait up to
-   [remaining] seconds for one frame. *)
+(* Wait up to [remaining] seconds for one frame on the infrastructure
+   endpoint [fd]. *)
 let read_report fd ~instance remaining =
   match Unix.select [ fd ] [] [] remaining with
   | [], _, _ -> None
@@ -539,6 +397,68 @@ let read_report fd ~instance remaining =
                  the caller's one-report budget. *)
               Some (-1, [||])))
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> Some (-1, [||])
+
+(* A trace fed concurrently by every agent thread; event times are
+   wall-clock seconds on the session's clock [now]. *)
+let concurrent_trace ~keep_events ~now =
+  let trace = Trace.create ~keep_events () in
+  let mutex = Mutex.create () in
+  let record ~src ~dst ~tag ~bytes =
+    Mutex_util.with_lock mutex (fun () ->
+        Trace.record trace
+          { Trace.time = now (); src; dst; tag; bytes; broadcast = false })
+  in
+  (trace, record)
+
+(* Drain this epoch's payment reports from the infrastructure endpoint
+   [fd] until every agent reported once or the deadline passes (a
+   stalled run — some agent aborted — never produces all n reports).
+   [finished] — given the received-so-far membership test — says
+   whether further reports can still come (every agent reported,
+   aborted, or already dispatched its report); once it turns true the
+   drain continues for one short grace window to catch reports that
+   were sent but are still in flight, then stops without waiting out
+   the full deadline. *)
+let collect_grace = 0.25
+
+let collect_reports fd ~instance ~n ~deadline ~finished ~report =
+  let received = Hashtbl.create n in
+  let continue_ = ref true in
+  let finished_at = ref None in
+  while !continue_ && Hashtbl.length received < n do
+    let now = Unix.gettimeofday () in
+    (match !finished_at with
+    | None -> if finished (Hashtbl.mem received) then finished_at := Some now
+    | Some _ -> ());
+    let stop_at =
+      match !finished_at with
+      | Some t -> Float.min deadline (t +. collect_grace)
+      | None -> deadline
+    in
+    let remaining = stop_at -. now in
+    if remaining <= 0.0 then continue_ := false
+    else
+      match read_report fd ~instance (Float.min remaining 0.05) with
+      | None -> () (* nothing this slice; re-check [finished] *)
+      | Some (src, payments) ->
+          if src >= 0 && src < n && not (Hashtbl.mem received src) then begin
+            Hashtbl.replace received src ();
+            report ~src payments
+          end
+  done
+
+(* Further reports can only come from agents that are still working:
+   not yet reported, not aborted, and not already past their Phase IV
+   send. Reading the agents' fields from the collector thread races
+   with their own threads only benignly (single word reads; a stale
+   value merely delays the early exit by a slice). *)
+let no_more_reports agents received =
+  Array.for_all
+    (fun a ->
+      received (Agent.id a)
+      || Option.is_some (Agent.aborted a)
+      || Option.is_some (Agent.reported_payments a))
+    agents
 
 (* One epoch over a session: deal the agents to the workers, drain this
    epoch's payment reports, then end every endpoint session with the
@@ -568,9 +488,8 @@ let session_epoch s ~name ~instance ~timeout ~keep_events ~faults ~agents
             ~on_recv:(fun ~src:_ -> Obs.recv ~backend:name)
             ~on_send:(record ~src:i) ()))
     agents;
-  collect_reports ~n ~deadline:(e0 +. timeout)
-    ~finished:(no_more_reports agents) ~report
-    (read_report (Fabric.endpoint_fd s.fabric n) ~instance);
+  collect_reports (Fabric.endpoint_fd s.fabric n) ~instance ~n
+    ~deadline:(e0 +. timeout) ~finished:(no_more_reports agents) ~report;
   Fabric.broadcast_epoch s.fabric ~instance:(Option.value instance ~default:0);
   for _ = 1 to n do
     ignore (Mailbox.pop ~timeout s.done_box : unit option)
@@ -620,9 +539,6 @@ let sim ?(fault = Dmw_sim.Fault.none) ?latency ?bandwidth ?jitter ?duplicate () 
     ( (module Sim_backend),
       { Sim_backend.fault; latency; bandwidth; jitter; duplicate } )
 
-let threads ?(timeout = 30.0) () =
-  Backend ((module Thread_backend), { Thread_backend.timeout })
-
 let socket ?(timeout = 30.0) () =
   Backend ((module Socket_backend), { Socket_backend.timeout })
 
@@ -630,12 +546,6 @@ let epoch session ~epoch ~timeout =
   Backend ((module Epoch_backend), { Epoch_backend.session; epoch; timeout })
 
 let backend_name (Backend ((module B), _)) = B.name
-
-let backend_of_string = function
-  | "sim" -> Some (sim ())
-  | "threads" -> Some (threads ())
-  | "socket" -> Some (socket ())
-  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* The harness                                                         *)

@@ -1,11 +1,11 @@
 (** The unified execution harness for the DMW mechanism.
 
-    Every way of running the protocol — discrete-event simulation,
-    shared-memory threads, socket endpoints — shares the same
-    surrounding machinery: agent construction from [Params] + bids +
-    strategies under the common master-RNG seeding convention, payment
-    collection through {!Dmw_core.Payment_infra}, consensus and price
-    extraction, per-agent statuses, and one {!result} type. A backend
+    Both ways of running the protocol — discrete-event simulation and
+    socket endpoints — share the same surrounding machinery: agent
+    construction from [Params] + bids + strategies under the common
+    master-RNG seeding convention, payment collection through
+    {!Dmw_core.Payment_infra}, consensus and price extraction,
+    per-agent statuses, and one {!result} type. A backend
     only supplies the message fabric ({!BACKEND}); everything
     mechanism-level lives here, once.
 
@@ -45,7 +45,7 @@ type result = {
           re-auctioned run, the final attempt's trace. *)
   duration : float;
       (** Virtual seconds until the last protocol message (sim), or
-          wall-clock seconds for the run (threads, socket). *)
+          wall-clock seconds for the run (socket, epoch). *)
   attempts : int;
       (** Number of protocol executions: 1, plus one per re-auction
           after an environmental abort (see [run]'s [?retries]). *)
@@ -85,8 +85,8 @@ val apply_faults :
 
     [instance] is the {!Dmw_core.Messages.Scoped} instance the harness
     gives every agent of a run on this backend ({!Dmw_core.Agent.create}'s
-    [?instance]): [None] for {!sim}, {!threads} and {!socket}, whose
-    agents keep the bare wire format; [Some e] for an {!epoch} of a
+    [?instance]): [None] for {!sim} and {!socket}, whose agents keep
+    the bare wire format; [Some e] for an {!epoch} of a
     session. *)
 module type BACKEND = sig
   type config
@@ -120,15 +120,6 @@ val sim :
     virtual time, pluggable latency/bandwidth/jitter/duplication and
     fault injection. The default backend. *)
 
-val threads :
-  ?timeout:float ->
-  unit ->
-  backend
-(** One OS thread per agent over in-process mailboxes, plus a shared
-    timer thread. [timeout] (default 30 s) bounds the wall-clock wait
-    for payment reports — stalled runs (a deviation aborted someone)
-    end then. *)
-
 val socket :
   ?timeout:float ->
   unit ->
@@ -137,8 +128,10 @@ val socket :
     frames over Unix-domain sockets through a routing fabric
     ({!Dmw_net.Fabric}) — the full wire path, kernel boundary
     included. Each run opens a {!session}, runs one unscoped epoch on
-    it and closes it. [timeout] as for {!threads}; span times and
-    fault timing count from the run's own start. *)
+    it and closes it. [timeout] (default 30 s) bounds the wall-clock
+    wait for payment reports — stalled runs (a deviation aborted
+    someone) end then. Span times and fault timing count from the
+    run's own start. *)
 
 (** {2 Socket sessions}
 
@@ -176,9 +169,6 @@ val close_session : session -> unit
 
 val backend_name : backend -> string
 
-val backend_of_string : string -> backend option
-(** ["sim"], ["threads"] or ["socket"], with default configuration. *)
-
 val run :
   ?strategies:(int -> Strategy.t) ->
   ?seed:int ->
@@ -207,10 +197,10 @@ val run :
     instantiated from the run seed ([seed lxor 0xFA17]) and injected
     at every backend's send boundary through {!apply_faults}, so the
     same seed and policy lose, delay and duplicate the {e same}
-    messages on sim, threads and socket. Declaring faults also arms
-    each agent's crash-detection watchdog ([watchdog] overrides the
-    0.25 s default period), so a run that can no longer progress ends
-    in a clean audited abort ({!Dmw_core.Audit.Peer_silent} /
+    messages on sim and socket. Declaring faults also arms each
+    agent's crash-detection watchdog ([watchdog] overrides the 0.25 s
+    default period), so a run that can no longer progress ends in a
+    clean audited abort ({!Dmw_core.Audit.Peer_silent} /
     [Deadline_exceeded]) rather than a hang.
 
     [pipeline] bounds how many of the [m] independent task auctions may

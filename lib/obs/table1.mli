@@ -14,7 +14,7 @@
     [c = 1], on {e any} backend (the protocol is confluent, so
     counts are interleaving-independent). They were derived from the
     protocol structure and verified empirically over
-    [n ∈ 4..9, m ∈ 1..3, y* ∈ 1..5] on sim, threads and socket.
+    [n ∈ 4..9, m ∈ 1..3, y* ∈ 1..5] on sim and socket.
     Uniform bids at level [w] make every task resolve at
     [y* = y** = w], so predictions close over [(n, m, w)] — the shape
     the conformance test uses. *)

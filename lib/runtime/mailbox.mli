@@ -1,12 +1,12 @@
 (** Thread-safe blocking mailbox (FIFO), unbounded or bounded.
 
-    The concurrent backends give every agent one unbounded mailbox
-    consumed by its own thread, so agent state needs no further
-    locking. The persistent auction service ([dmw_serve]) takes its
-    jobs through a bounded one: producers (client connections) offer
-    with {!try_push} and are told [`Full] when the service is
-    saturated — the caller surfaces "busy" to its client instead of
-    buffering without bound. *)
+    A socket session hands each endpoint worker its next epoch through
+    one unbounded mailbox and collects the workers' end-of-epoch
+    acknowledgements in another. The persistent auction service
+    ([dmw_serve]) takes its jobs through a bounded one: producers
+    (client connections) offer with {!try_push} and are told [`Full]
+    when the service is saturated — the caller surfaces "busy" to its
+    client instead of buffering without bound. *)
 
 type 'a t
 
@@ -21,8 +21,7 @@ val try_push : 'a t -> 'a -> [ `Ok | `Full | `Closed ]
 val push : 'a t -> 'a -> unit
 (** {!try_push} without the verdict: never blocks, and drops the
     element when refused. An unbounded mailbox refuses only after
-    {!close} — which is what lets a shared timer thread keep draining
-    its deadline queue during shutdown without racing the consumers. *)
+    {!close}. *)
 
 val close : 'a t -> unit
 (** Close the mailbox: wakes every blocked {!pop}. Consumers drain

@@ -618,6 +618,10 @@ module Front = struct
     try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
 
   let start t ~socket_path =
+    (* A client that hangs up before its reply must end only its own
+       connection: under SIGPIPE's default action the writer's write
+       would kill the process before it could raise EPIPE. *)
+    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     (try Unix.unlink socket_path with Unix.Unix_error (_, _, _) -> ());
     let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     Unix.bind listen_fd (Unix.ADDR_UNIX socket_path);

@@ -199,7 +199,9 @@ module Front : sig
 
   val start : t -> socket_path:string -> server
   (** Bind (replacing any stale socket file), listen, and serve each
-      connection on its own reader/writer thread pair. *)
+      connection on its own reader/writer thread pair. Sets SIGPIPE to
+      be ignored for the whole process, so a client that hangs up
+      before its reply ends only its own connection. *)
 
   val stop : server -> unit
   (** Close the listener and remove the socket file. Connections

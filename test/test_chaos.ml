@@ -2,7 +2,7 @@
 
    Each iteration derives a random fault schedule and a run seed from
    one master chaos seed, executes the same auction under that
-   schedule on all three backends, and checks the two invariants the
+   schedule on sim and socket, and checks the two invariants the
    execution harness promises:
 
    - consensus-or-clean-degradation: every run either reaches the
@@ -14,8 +14,8 @@
 
    - cross-backend determinism: the same seed and schedule produce the
      same outcome signature (completion, schedule, prices, payments,
-     per-agent abort reasons) on sim, threads and socket, because
-     fault coins are pure functions of message identity.
+     per-agent abort reasons) on sim and socket, because fault coins
+     are pure functions of message identity.
 
    The schedule count and master seed are overridable via CHAOS_COUNT
    and CHAOS_SEED so the CI chaos job can pin its three seeds; a
@@ -196,9 +196,6 @@ let withheld_payments (r : Dmw_exec.result) =
 let check_schedule ~iteration ~spec ~seed =
   let started = Unix.gettimeofday () in
   let sim_r = run_backend ~spec ~seed (Dmw_exec.sim ()) in
-  let thr_r =
-    run_backend ~spec ~seed (Dmw_exec.threads ~timeout:backend_timeout ())
-  in
   let sock_r =
     run_backend ~spec ~seed (Dmw_exec.socket ~timeout:backend_timeout ())
   in
@@ -208,9 +205,9 @@ let check_schedule ~iteration ~spec ~seed =
     Alcotest.failf "schedule %d (faults=%s seed=%d): %s" iteration
       (Fault.to_string spec) seed detail
   in
-  (* Never a hang: all three runs returned well inside the backend
-     timeout budget (2 real-time backends plus slack). *)
-  if elapsed >= (2.0 *. backend_timeout) +. 5.0 then
+  (* Never a hang: both runs returned well inside the backend timeout
+     budget (one real-time backend plus slack). *)
+  if elapsed >= backend_timeout +. 5.0 then
     fail (Printf.sprintf "wall-clock %.1fs suggests a hang" elapsed);
   (* Consensus-or-clean-abort, on every backend. *)
   List.iter
@@ -227,13 +224,10 @@ let check_schedule ~iteration ~spec ~seed =
              "%s neither completed, cleanly aborted, nor withheld payments \
               on the reference outcome:\n%s"
              r.Dmw_exec.backend (signature r)))
-    [ sim_r; thr_r; sock_r ];
+    [ sim_r; sock_r ];
   (* Bit-identical outcomes across backends. *)
   let s_sim = signature sim_r in
-  let s_thr = signature thr_r in
   let s_sock = signature sock_r in
-  if not (String.equal s_sim s_thr) then
-    fail (Printf.sprintf "sim/threads diverge:\n%s\nvs\n%s" s_sim s_thr);
   if not (String.equal s_sim s_sock) then
     fail (Printf.sprintf "sim/socket diverge:\n%s\nvs\n%s" s_sim s_sock)
 
@@ -360,7 +354,7 @@ let () =
   Alcotest.run "dmw_chaos"
     [ ("chaos",
        [ Alcotest.test_case
-           (Printf.sprintf "%d schedules x 3 backends" chaos_count)
+           (Printf.sprintf "%d schedules x 2 backends" chaos_count)
            `Slow test_chaos_sweep;
          Alcotest.test_case "replay determinism" `Quick
            test_replay_is_bit_identical;

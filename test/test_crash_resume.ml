@@ -4,7 +4,7 @@
    resuming from the prefix must reproduce the uninterrupted run's
    signature BIT FOR BIT — schedule, prices, payments, per-agent abort
    reasons, attempt/exclusion accounting, and the message/byte trace —
-   on all three backends. The serve section does the same for the
+   on sim and socket. The serve section does the same for the
    persistent service's epoch journal, and the golden vectors under
    vectors/ pin the on-disk format (and, through resume's verification
    of journaled settlements, the consensus values) against committed
@@ -81,7 +81,6 @@ let signature (r : Dmw_exec.result) =
 
 let backends =
   [ ("sim", fun () -> Dmw_exec.sim ());
-    ("threads", fun () -> Dmw_exec.threads ~timeout:20.0 ());
     ("socket", fun () -> Dmw_exec.socket ~timeout:20.0 ()) ]
 
 (* ------------------------------------------------------------------ *)
@@ -130,7 +129,7 @@ let test_kill_at_every_boundary () =
       let my_cuts =
         if backend_name = "sim" then cuts
         else
-          (* The wall-clock backends prove cross-backend recovery at
+          (* The socket backend proves cross-backend recovery at
              three representative kill sites; the sim sweep covers
              every boundary. *)
           [ List.nth cuts 0;
@@ -541,7 +540,7 @@ let test_golden_vectors () =
 let () =
   Alcotest.run "crash_resume"
     [ ( "one-shot",
-        [ Alcotest.test_case "kill at every record boundary, 3 backends"
+        [ Alcotest.test_case "kill at every record boundary, 2 backends"
             `Quick test_kill_at_every_boundary;
           Alcotest.test_case "a resumed process that dies again" `Quick
             test_double_crash;

@@ -1,13 +1,12 @@
-(* Cross-backend equivalence of the unified harness: the simulator,
-   the threads backend and the socket backend must produce
-   bit-identical schedules, prices, payments and abort sets for the
-   same seed — the determinism contract Dmw_exec promises. *)
+(* Cross-backend equivalence of the unified harness: the simulator
+   and the socket backend must produce bit-identical schedules,
+   prices, payments and abort sets for the same seed — the
+   determinism contract Dmw_exec promises. *)
 
 open Dmw_bigint
 open Dmw_core
 
-let backends ~timeout =
-  [ Dmw_exec.sim (); Dmw_exec.threads ~timeout (); Dmw_exec.socket ~timeout () ]
+let backends ~timeout = [ Dmw_exec.sim (); Dmw_exec.socket ~timeout () ]
 
 let abort_set (r : Dmw_exec.result) =
   Array.to_list r.Dmw_exec.statuses
@@ -25,7 +24,7 @@ let outcome_fields (r : Dmw_exec.result) =
 (* Property: backends agree on random valid instances                  *)
 
 let prop_backends_agree =
-  QCheck.Test.make ~count:8 ~name:"sim = threads = socket on random instances"
+  QCheck.Test.make ~count:8 ~name:"sim = socket on random instances"
     QCheck.(int_range 0 100000)
     (fun seed ->
       let g = Prng.create ~seed in
@@ -55,8 +54,8 @@ let prop_backends_agree =
    message set, so any admission window — from strictly sequential
    (depth 1) to everything at once (depth m) — must produce the same
    schedule, prices, payments and (fault-free) the same message and
-   byte counts. Checked on the simulator at several depths and on both
-   real-time backends at an intermediate one. *)
+   byte counts. Checked on the simulator at several depths and on the
+   socket backend at an intermediate one. *)
 let prop_pipeline_depth_invariant =
   QCheck.Test.make ~count:6 ~name:"pipeline depth never changes the outcome"
     QCheck.(int_range 0 100000)
@@ -85,11 +84,8 @@ let prop_pipeline_depth_invariant =
              && counters r = counters reference
              && r.Dmw_exec.pipeline = min depth m)
            [ 2; 4; m ]
-      && List.for_all
-           (fun backend ->
-             outcome_fields (run ~backend 2) = outcome_fields reference)
-           [ Dmw_exec.threads ~timeout:20.0 ();
-             Dmw_exec.socket ~timeout:20.0 () ])
+      && outcome_fields (run ~backend:(Dmw_exec.socket ~timeout:20.0 ()) 2)
+         = outcome_fields reference)
 
 (* Under a nonzero latency model the virtual clock makes the pipeline
    visible: depth m overlaps the auctions (provably, via the obs span
@@ -188,6 +184,42 @@ let test_socket_disclosure_fallback () =
       Alcotest.(check bool) "honest schedule" true (Dmw_mechanism.Schedule.equal a b)
   | _ -> Alcotest.fail "missing schedule"
 
+let run_socket ?batching ?hardened () =
+  Dmw_exec.run ?batching ?hardened ~seed:7 params ~bids ~keep_events:false
+    ~backend:(Dmw_exec.socket ~timeout:20.0 ())
+
+let test_socket_outcome_stable_across_runs () =
+  (* Interleavings differ run to run; outcomes must not. *)
+  match List.init 3 (fun _ -> run_socket ()) with
+  | first :: rest ->
+      List.iter
+        (fun r ->
+          Alcotest.(check bool) "completed" true (Dmw_exec.completed r);
+          Alcotest.(check bool) "stable outcome" true
+            (outcome_fields r = outcome_fields first))
+        rest
+  | [] -> Alcotest.fail "no runs"
+
+let test_socket_batching_parity () =
+  (* ~batching must produce the plain outcome over sockets too, and
+     actually batch (fewer recorded envelopes). *)
+  let plain = run_socket () in
+  let batched = run_socket ~batching:true () in
+  Alcotest.(check bool) "both completed" true
+    (Dmw_exec.completed plain && Dmw_exec.completed batched);
+  Alcotest.(check bool) "batched vs plain" true
+    (outcome_fields batched = outcome_fields plain);
+  Alcotest.(check bool) "fewer envelopes" true
+    (Dmw_sim.Trace.messages batched.Dmw_exec.trace
+    < Dmw_sim.Trace.messages plain.Dmw_exec.trace)
+
+let test_socket_hardened_parity () =
+  let hardened = run_socket ~hardened:true () in
+  let sim = Dmw_exec.run ~seed:7 params ~bids ~keep_events:false in
+  Alcotest.(check bool) "completed" true (Dmw_exec.completed hardened);
+  Alcotest.(check bool) "hardened vs sim" true
+    (outcome_fields hardened = outcome_fields sim)
+
 (* ------------------------------------------------------------------ *)
 (* Fault parity: the determinism contract extends to adverse
    environments — the same seed and fault schedule produce identical
@@ -238,14 +270,14 @@ let test_fault_parity () =
         results)
     fault_schedules
 
-(* Regression (found by test_chaos.ml, seed 0xC4A05 schedule 39): on
-   the real-time backends a delay fault can make a discloser's f row
-   overtake its own delayed (Λ, Ψ) publication on one link; the row
-   used to be discarded as unverifiable, starving the receiver until
-   its watchdog blamed the innocent discloser — a spurious abort the
-   virtual-clock sim never reproduced. The agent now parks the early
-   row until the pair lands. The race fired on ~4 of 5 runs before the
-   fix, so a handful of trials pins it reliably. *)
+(* Regression (found by test_chaos.ml, seed 0xC4A05 schedule 39): in
+   real time a delay fault can make a discloser's f row overtake its
+   own delayed (Λ, Ψ) publication on one link; the row used to be
+   discarded as unverifiable, starving the receiver until its watchdog
+   blamed the innocent discloser — a spurious abort the virtual-clock
+   sim never reproduced. The agent now parks the early row until the
+   pair lands. The race fired on ~4 of 5 runs before the fix, so a
+   handful of trials pins it reliably. *)
 let test_delayed_publication_reordering () =
   let p = Params.make_exn ~group_bits:64 ~seed:3 ~n:4 ~m:1 ~c:1 () in
   let bids = [| [| 2 |]; [| 1 |]; [| 2 |]; [| 2 |] |] in
@@ -253,7 +285,7 @@ let test_delayed_publication_reordering () =
   for trial = 1 to 5 do
     let r =
       Dmw_exec.run ~seed:5782 ~keep_events:false ~faults ~watchdog:0.12
-        ~backend:(Dmw_exec.threads ~timeout:10.0 ())
+        ~backend:(Dmw_exec.socket ~timeout:10.0 ())
         p ~bids
     in
     Alcotest.(check bool)
@@ -264,16 +296,6 @@ let test_delayed_publication_reordering () =
       true
       (abort_set r = [])
   done
-
-let test_backend_of_string () =
-  List.iter
-    (fun name ->
-      match Dmw_exec.backend_of_string name with
-      | Some b -> Alcotest.(check string) name name (Dmw_exec.backend_name b)
-      | None -> Alcotest.fail ("unknown backend " ^ name))
-    [ "sim"; "threads"; "socket" ];
-  Alcotest.(check bool) "junk rejected" true
-    (Dmw_exec.backend_of_string "carrier-pigeon" = None)
 
 let () =
   Alcotest.run "dmw_exec"
@@ -288,9 +310,12 @@ let () =
            test_socket_detects_deviation;
          Alcotest.test_case "socket disclosure fallback" `Slow
            test_socket_disclosure_fallback;
+         Alcotest.test_case "stable across interleavings" `Slow
+           test_socket_outcome_stable_across_runs;
+         Alcotest.test_case "batching parity" `Slow test_socket_batching_parity;
+         Alcotest.test_case "hardened parity" `Slow
+           test_socket_hardened_parity;
          Alcotest.test_case "fault parity across backends" `Slow
            test_fault_parity;
          Alcotest.test_case "delayed publication reordering (regression)"
-           `Quick test_delayed_publication_reordering ]);
-      ("plumbing",
-       [ Alcotest.test_case "backend_of_string" `Quick test_backend_of_string ]) ]
+           `Quick test_delayed_publication_reordering ]) ]

@@ -48,7 +48,6 @@ let prop_replay =
           in
           signature (run ()) = signature (run ()))
         [ (fun () -> Dmw_exec.sim ());
-          (fun () -> Dmw_exec.threads ~timeout:20.0 ());
           (fun () -> Dmw_exec.socket ~timeout:20.0 ()) ])
 
 (* ------------------------------------------------------------------ *)

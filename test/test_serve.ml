@@ -209,10 +209,48 @@ let test_front_door () =
   Serve.shutdown t;
   Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
 
+(* A client that hangs up before its reply: the reply then hits a
+   closed socket, which must end only that connection — the next
+   client is still served. *)
+let test_client_hangs_up () =
+  let cfg =
+    Serve.config ~group_bits:16 ~seed:7 ~n:4 ~c:1 ~wave_window:0.2 ()
+  in
+  let t = Serve.create cfg in
+  let path = Filename.temp_file "dmw_serve_test" ".sock" in
+  let front = Serve.Front.start t ~socket_path:path in
+  let connect () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX path);
+    fd
+  in
+  let say fd line =
+    let s = line ^ "\n" in
+    ignore (Unix.write_substring fd s 0 (String.length s) : int)
+  in
+  let a = connect () in
+  say a "submit 2,1,2,1";
+  Unix.close a;
+  (* Job 0 settled: its writer is replying to a closed peer. *)
+  Alcotest.(check bool) "job 0 settled" true (Option.is_some (Serve.await t 0));
+  let b = connect () in
+  say b "submit 1,2,2,1";
+  say b "quit";
+  (match read_lines b 1 with
+  | [ r ] ->
+      Alcotest.(check bool) "next client served" true
+        (String.starts_with ~prefix:"result 1 " r)
+  | _ -> Alcotest.fail "short read");
+  (try Unix.close b with Unix.Unix_error (_, _, _) -> ());
+  Serve.Front.stop front;
+  Serve.shutdown t
+
 let () =
   Alcotest.run "dmw_serve"
     [ ("queue", [ Alcotest.test_case "backpressure" `Quick test_bounded_queue ]);
       ("service",
        [ Alcotest.test_case "waves, spans and reproducibility" `Slow
            test_service_waves;
-         Alcotest.test_case "front door protocol" `Slow test_front_door ]) ]
+         Alcotest.test_case "front door protocol" `Slow test_front_door;
+         Alcotest.test_case "client hangs up before its reply" `Slow
+           test_client_hangs_up ]) ]

@@ -3,10 +3,10 @@
    y* = y** = w, so Dmw_obs.Table1's closed forms predict the exact
    per-run message and exponentiation counts; this suite checks the
    measured Dmw_obs counters against them — exactly, not
-   asymptotically — on all three backends.
+   asymptotically — on sim and socket.
 
    The 16-bit group keeps each run far below the agents' 50 ms
-   recovery timeouts on the real-time backends; with bigger groups a
+   recovery timeouts on the socket backend; with bigger groups a
    slow machine could push an auction past a timer, triggering
    fallback disclosure rounds that do extra (legitimate) work and
    change the counts. *)
@@ -107,7 +107,7 @@ let test_pipelined_points () =
     (fun backend ->
       check_point ~pipeline:1 backend (5, 2, 1);
       check_point ~pipeline:2 backend (7, 3, 3))
-    [ Dmw_exec.sim (); Dmw_exec.threads (); Dmw_exec.socket () ]
+    [ Dmw_exec.sim (); Dmw_exec.socket () ]
 
 (* With observability off, the instrumented seams must record
    nothing: the disabled branch is the whole hot-path cost. *)
@@ -128,8 +128,6 @@ let () =
   Alcotest.run "table1"
     [ ( "conformance",
         [ Alcotest.test_case "sim" `Quick (test_backend (Dmw_exec.sim ()));
-          Alcotest.test_case "threads" `Quick
-            (test_backend (Dmw_exec.threads ()));
           Alcotest.test_case "socket" `Quick
             (test_backend (Dmw_exec.socket ()));
           Alcotest.test_case "pipelined depths" `Quick test_pipelined_points ] );
