@@ -90,71 +90,56 @@ let table1_computation () =
   section
     "T1-comp: Table 1 / computational cost (paper: MinWork Θ(mn), DMW O(mn² log p))";
   (* One sim run of the whole protocol with the Zmod counters on; the
-     counts and the wall time cover all n agents, so each is divided by
-     n. *)
+     counts cover all n agents, so each is divided by n. Wall time is
+     perfbench's to measure. *)
   let cost ~n ~m ~group_bits =
     let p = make_params ~n ~m ~group_bits () in
     let rng = Prng.create ~seed:(n + m) in
     let bids = uniform_bids rng p in
     Counters.reset ();
     Counters.enable ();
-    let t0 = Unix.gettimeofday () in
     let r = Dmw_exec.run ~seed:5 p ~bids ~keep_events:false in
-    let seconds = Unix.gettimeofday () -. t0 in
     Counters.disable ();
     assert (Dmw_exec.completed r);
-    ( Counters.multiplications () / n,
-      Counters.exponentiations () / n,
-      seconds /. float_of_int n )
+    (Counters.multiplications () / n, Counters.exponentiations () / n)
   in
   Printf.printf "\n-- per-agent cost, scaling in n (m = 2, 64-bit group) --\n";
-  Printf.printf "%4s %12s %12s %10s %14s\n" "n" "mod-muls" "mod-exps" "time (s)"
-    "MinWork (s)";
+  Printf.printf "%4s %12s %12s\n" "n" "mod-muls" "mod-exps";
   let ns = [ 4; 6; 8; 12; 16 ] in
   let exps =
     List.map
       (fun n ->
-        let muls, exps, seconds = cost ~n ~m:2 ~group_bits:64 in
-        let t0 = Unix.gettimeofday () in
-        ignore (Minwork.run (Array.make_matrix n 2 1.0));
-        let minwork = Unix.gettimeofday () -. t0 in
-        Printf.printf "%4d %12d %12d %10.4f %14.6f\n%!" n muls exps seconds
-          minwork;
+        let muls, exps = cost ~n ~m:2 ~group_bits:64 in
+        Printf.printf "%4d %12d %12d\n%!" n muls exps;
         float_of_int exps)
       ns
   in
   Printf.printf "fitted exponent of n for per-agent mod-exps: %.2f (theory 2)\n"
     (fit_exponent ns exps);
   Printf.printf "\n-- per-agent cost, scaling in m (n = 8, 64-bit group) --\n";
-  Printf.printf "%4s %12s %12s %10s\n" "m" "mod-muls" "mod-exps" "time (s)";
+  Printf.printf "%4s %12s %12s\n" "m" "mod-muls" "mod-exps";
   let ms = [ 1; 2; 4; 8 ] in
   let exps_m =
     List.map
       (fun m ->
-        let muls, exps, seconds = cost ~n:8 ~m ~group_bits:64 in
-        Printf.printf "%4d %12d %12d %10.4f\n%!" m muls exps seconds;
+        let muls, exps = cost ~n:8 ~m ~group_bits:64 in
+        Printf.printf "%4d %12d %12d\n%!" m muls exps;
         float_of_int exps)
       ms
   in
   Printf.printf "fitted exponent of m for per-agent mod-exps: %.2f (theory 1)\n"
     (fit_exponent ms exps_m);
-  Printf.printf
-    "\n-- the log p factor: wall time vs group size (n = 8, m = 2) --\n";
-  Printf.printf "%6s %12s %12s %10s %16s\n" "bits" "mod-muls" "mod-exps" "time (s)"
-    "time / 64-bit";
-  let base = ref 0.0 in
+  Printf.printf "\n-- the log p factor: group size (n = 8, m = 2) --\n";
+  Printf.printf "%6s %12s %12s\n" "bits" "mod-muls" "mod-exps";
   List.iter
     (fun group_bits ->
-      let muls, exps, seconds = cost ~n:8 ~m:2 ~group_bits in
-      if group_bits = 64 then base := seconds;
-      Printf.printf "%6d %12d %12d %10.4f %16.2f\n%!" group_bits muls exps
-        seconds (seconds /. !base))
+      let muls, exps = cost ~n:8 ~m:2 ~group_bits in
+      Printf.printf "%6d %12d %12d\n%!" group_bits muls exps)
     [ 64; 128; 256; 512 ];
   Printf.printf
-    "(mod-exps do not depend on the group size; mod-muls per mod-exp grow\n";
-  Printf.printf
-    " linearly in log p, which is Theorem 12's log p factor, and wall time\n";
-  Printf.printf " grows faster because each mod-mul also costs more at larger p)\n"
+    "(mod-exps do not depend on the group size; mod-muls per mod-exp grow\n\
+    \ linearly in log p, which is Theorem 12's log p factor; perfbench\n\
+    \ times the operations)\n"
 
 (* ------------------------------------------------------------------ *)
 (* F2-seq: Fig. 2, the message sequence                                *)
@@ -165,10 +150,10 @@ let fig2_message_sequence () =
   let bids = [| [| 2 |]; [| 1 |]; [| 2 |]; [| 2 |] |] in
   let r = Dmw_exec.run ~seed:5 p ~bids in
   Printf.printf
-    "(A solid '->' is a private point-to-point message; '=>' is part of a\n\
-    \ published message, delivered as unicasts. Node A%d is the payment\n\
-    \ infrastructure.)\n\n"
-    (p.Params.n + 1);
+    "(Every arrow is one unicast. commitments, lambda_psi, f_disclosure\n\
+    \ and lambda_psi_excl are published: one unicast to each other agent.\n\
+    \ Agents are A1..A%d; node A%d is the payment infrastructure.)\n\n"
+    p.Params.n (p.Params.n + 1);
   Format.printf "%a@."
     (Trace.pp_sequence ~max_events:200)
     r.Dmw_exec.trace;
@@ -760,11 +745,10 @@ let fault_matrix () =
     "\nSame instance (n = %d, m = %d, w_max = %d) under each fault policy on\n\
      both backends. 'status' is consensus-or-clean-abort; 'agree' checks\n\
      the two backends produced bit-identical outcomes (the chaos-test\n\
-     invariant); wall time shows what retransmission and watchdog\n\
-     machinery cost on each fabric.\n\n"
+     invariant).\n\n"
     p.Params.n p.Params.m p.Params.w_max;
-  Printf.printf "%-20s %-8s %10s %10s %9s %-10s %s\n" "policy" "backend"
-    "messages" "time (s)" "attempts" "status" "agree";
+  Printf.printf "%-20s %-8s %10s %9s %-10s %s\n" "policy" "backend"
+    "messages" "attempts" "status" "agree";
   List.iter
     (fun (name, faults, retries) ->
       let reference = ref None in
@@ -778,7 +762,6 @@ let fault_matrix () =
                 Dmw_exec.run ~seed:5 p ~bids ~keep_events:false ?faults
                   ~retries ~backend)
           in
-          let wall = float_of_int row.Report.wall_ns *. 1e-9 in
           let outcome =
             ( Dmw_exec.completed r,
               r.Dmw_exec.schedule,
@@ -803,16 +786,12 @@ let fault_matrix () =
             then "abort"
             else "degraded"
           in
-          Printf.printf "%-20s %-8s %10d %10.3f %9d %-10s %s\n%!" name
+          Printf.printf "%-20s %-8s %10d %9d %-10s %s\n%!" name
             (Dmw_exec.backend_name backend)
-            row.Report.msgs wall r.Dmw_exec.attempts status
+            row.Report.msgs r.Dmw_exec.attempts status
             (if agree then "yes" else "NO (!)"))
         [ Dmw_exec.sim (); Dmw_exec.socket () ])
-    scenarios;
-  Printf.printf
-    "\n(sim resolves delays in virtual time, so its wall time barely moves\n\
-     under faults; socket pays the retransmission spacing and, for the\n\
-     crash rows, one watchdog period before the re-auction or abort.)\n"
+    scenarios
 
 (* ------------------------------------------------------------------ *)
 (* S-scale: a larger run, not part of the default set                  *)
@@ -826,13 +805,11 @@ let scale_stress () =
     Report.measure ~experiment:"scale_stress" ~backend:"sim" ~n:32 ~m:4
       (fun () -> Dmw_exec.run ~seed:5 p ~bids ~keep_events:false)
   in
-  let dt = float_of_int row.Report.wall_ns *. 1e-9 in
   assert (Dmw_exec.completed r);
   Printf.printf
-    "\ncompleted: %d messages, %d bytes, %.2f s wall (%.0f msg/s), every\n\
-     agent ran %d+ verification checks.\n"
-    row.Report.msgs row.Report.bytes dt
-    (float_of_int row.Report.msgs /. dt)
+    "\ncompleted: %d messages, %d bytes; every agent ran %d+ verification\n\
+     checks.\n"
+    row.Report.msgs row.Report.bytes
     (Array.fold_left
        (fun acc (s : Dmw_exec.agent_status) -> min acc s.Dmw_exec.checks_performed)
        max_int r.Dmw_exec.statuses)

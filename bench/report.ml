@@ -3,7 +3,7 @@
    run in [measure], which turns observability on, reads the Dmw_obs
    counters afterwards, and accumulates one row per run. [flush]
    writes the rows as one JSON array — BENCH_10.json — in the standard
-   schema: experiment, backend, n, m, msgs, bytes, modexps, wall_ns,
+   schema: experiment, backend, n, m, msgs, bytes, modexps,
    duration_ns. Experiments whose results are scores rather than
    traffic (mechanism_matrix) append [custom] rows instead: the same
    array, a fixed set of leading keys, and %.6f-rendered floats so the
@@ -19,11 +19,9 @@ type row = {
   msgs : int;
   bytes : int;
   modexps : int;
-  wall_ns : int;
   duration_ns : int;
       (* The run's own completion clock — virtual seconds on the
-         simulator — as opposed to [wall_ns], the harness's real
-         elapsed time. 0 when the experiment reports no duration. *)
+         simulator. 0 when the experiment reports no duration. *)
 }
 
 let rows : row list ref = ref []
@@ -42,9 +40,7 @@ let measure ?duration_of ~experiment ~backend ~n ~m f =
   Metrics.reset ();
   Dmw_obs.Span.reset ();
   Metrics.enable ();
-  let t0 = Unix.gettimeofday () in
   let result = Fun.protect ~finally:Metrics.disable f in
-  let wall_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
   let duration_ns =
     match duration_of with
     | None -> 0
@@ -55,7 +51,7 @@ let measure ?duration_of ~experiment ~backend ~n ~m f =
       msgs = counter_total "dmw_messages_total";
       bytes = counter_total "dmw_bytes_total";
       modexps = counter_total "dmw_modexp_total";
-      wall_ns; duration_ns }
+      duration_ns }
   in
   rows := row :: !rows;
   (result, row)
@@ -90,9 +86,9 @@ let flush ?(path = "BENCH_10.json") () =
         output_string oc "[";
         List.iteri
           (fun i r ->
-            Printf.fprintf oc "%s\n  {\"experiment\":%S,\"backend\":%S,\"n\":%d,\"m\":%d,\"msgs\":%d,\"bytes\":%d,\"modexps\":%d,\"wall_ns\":%d,\"duration_ns\":%d}"
+            Printf.fprintf oc "%s\n  {\"experiment\":%S,\"backend\":%S,\"n\":%d,\"m\":%d,\"msgs\":%d,\"bytes\":%d,\"modexps\":%d,\"duration_ns\":%d}"
               (if i = 0 then "" else ",")
-              r.experiment r.backend r.n r.m r.msgs r.bytes r.modexps r.wall_ns
+              r.experiment r.backend r.n r.m r.msgs r.bytes r.modexps
               r.duration_ns)
           (List.rev !rows);
         List.iteri

@@ -132,7 +132,8 @@ let run_cmd =
                    drop=P, delay=P:SECONDS, dup=P, link=SRC-DST, \
                    tag=NODE:TAG, silence=NODE\\@PHASE, crash=NODE\\@TIME \
                    terms. Arms per-agent crash detection, so the run ends \
-                   in a clean audited abort instead of hanging.")
+                   in a clean audited abort instead of hanging. Cannot be \
+                   combined with $(b,--batching).")
   in
   let retries =
     Arg.(value & opt int 0
@@ -218,45 +219,50 @@ let run_cmd =
       | Some d -> fun i -> if i = d then strategy else Strategy.Suggested
     in
     let wal = Option.map Dmw_wal.create wal_path in
-    let result =
+    match
       Fun.protect
         ~finally:(fun () -> Option.iter Dmw_wal.close wal)
         (fun () ->
           Dmw_exec.run ~strategies ~seed ~batching ~hardened ?faults ~retries
             ?pipeline ?wal ~backend params ~bids)
-    in
-    Format.printf "@.%a@." Dmw_exec.pp_summary result;
-    let rank = Params.pseudonym_rank params in
-    let mw =
-      Dmw_mechanism.Minwork.run
-        ~tie_break:(Dmw_mechanism.Vickrey.Least_key (fun i -> rank.(i)))
-        (Array.map (Array.map float_of_int) bids)
-    in
-    Dmw_mechanism.Metrics.record_obs instance mw;
-    (match metrics with
-    | None -> ()
-    | Some path ->
-        let report =
-          if Filename.check_suffix path ".prom" then Dmw_obs.Export.prometheus ()
-          else
-            Dmw_obs.Export.json_lines
-              ~meta:
-                [ ("backend", Dmw_exec.backend_name backend);
-                  ("n", string_of_int n); ("m", string_of_int m);
-                  ("seed", string_of_int seed) ]
-              ()
+    with
+    | exception Invalid_argument reason ->
+        (* A refused combination of flags, such as --batching with --faults. *)
+        Format.eprintf "%s@." reason;
+        2
+    | result ->
+        Format.printf "@.%a@." Dmw_exec.pp_summary result;
+        let rank = Params.pseudonym_rank params in
+        let mw =
+          Dmw_mechanism.Minwork.run
+            ~tie_break:(Dmw_mechanism.Vickrey.Least_key (fun i -> rank.(i)))
+            (Array.map (Array.map float_of_int) bids)
         in
-        Dmw_obs.Export.write_file ~path report;
-        Dmw_obs.Metrics.disable ();
-        if not quiet then Format.printf "metrics report written to %s@." path);
-    (match result.Dmw_exec.schedule with
-    | Some s ->
-        let times = Dmw_mechanism.Instance.times instance in
-        Format.printf "@.makespan (true times): DMW %.2f, centralized MinWork %.2f@."
-          (Dmw_mechanism.Schedule.makespan ~times s)
-          (Dmw_mechanism.Schedule.makespan ~times mw.Dmw_mechanism.Minwork.schedule)
-    | None -> ());
-    if Dmw_exec.completed result then 0 else 1
+        Dmw_mechanism.Metrics.record_obs instance mw;
+        (match metrics with
+        | None -> ()
+        | Some path ->
+            let report =
+              if Filename.check_suffix path ".prom" then Dmw_obs.Export.prometheus ()
+              else
+                Dmw_obs.Export.json_lines
+                  ~meta:
+                    [ ("backend", Dmw_exec.backend_name backend);
+                      ("n", string_of_int n); ("m", string_of_int m);
+                      ("seed", string_of_int seed) ]
+                  ()
+            in
+            Dmw_obs.Export.write_file ~path report;
+            Dmw_obs.Metrics.disable ();
+            if not quiet then Format.printf "metrics report written to %s@." path);
+        (match result.Dmw_exec.schedule with
+        | Some s ->
+            let times = Dmw_mechanism.Instance.times instance in
+            Format.printf "@.makespan (true times): DMW %.2f, centralized MinWork %.2f@."
+              (Dmw_mechanism.Schedule.makespan ~times s)
+              (Dmw_mechanism.Schedule.makespan ~times mw.Dmw_mechanism.Minwork.schedule)
+        | None -> ());
+        if Dmw_exec.completed result then 0 else 1
     end
   in
   let wal_path =

@@ -54,15 +54,16 @@ module Obs = struct
   module Metrics = Dmw_obs.Metrics
   module Span = Dmw_obs.Span
 
-  (* Which phase of an auction a message tag belongs to. *)
-  let phase_of_tag = function
-    | "share" -> "share"
-    | "commitments" -> "commit"
-    | "lambda_psi" | "f_disclosure" | "f_disclosure_hardened"
-    | "lambda_psi_excl" ->
+  (* Which phase of an auction a message belongs to. *)
+  let rec phase_of = function
+    | Messages.Share _ -> "share"
+    | Messages.Commitments _ -> "commit"
+    | Messages.Lambda_psi _ | Messages.F_disclosure _
+    | Messages.F_disclosure_hardened _ | Messages.Lambda_psi_excl _ ->
         "resolve"
-    | "payment_report" -> "payment"
-    | tag -> tag (* batch envelopes and future tags group as themselves *)
+    | Messages.Payment_report _ -> "payment"
+    | Messages.Batch _ -> "batch"
+    | Messages.Scoped { msg; _ } -> phase_of msg
 
   type cell = { mutable t0 : float; mutable t1 : float }
 
@@ -71,9 +72,9 @@ module Obs = struct
 
   let reset () = Mutex_util.with_lock cells_lock (fun () -> Hashtbl.reset cells)
 
-  let note ~task ~tag ~now =
+  let note ~task ~phase ~now =
     Mutex_util.with_lock cells_lock (fun () ->
-        let key = (task, phase_of_tag tag) in
+        let key = (task, phase) in
         match Hashtbl.find_opt cells key with
         | Some c ->
             if now < c.t0 then c.t0 <- now;
@@ -97,7 +98,7 @@ module Obs = struct
             Metrics.observe
               ~labels:[ ("backend", backend) ]
               "dmw_message_size_bytes" (float_of_int bytes);
-            note ~task:(Messages.task msg) ~tag ~now:(now ());
+            note ~task:(Messages.task msg) ~phase:(phase_of msg) ~now:(now ());
             base.Agent.send ~dst ~tag ~bytes msg);
         schedule = base.Agent.schedule }
 
@@ -259,11 +260,9 @@ type backend = Backend : (module BACKEND with type config = 'c) * 'c -> backend
 
 module Sim_backend = struct
   type config = {
-    fault : Dmw_sim.Fault.t;
     latency : Dmw_sim.Latency.t option;
     bandwidth : float option;
     jitter : float option;
-    duplicate : float option;
   }
 
   let name = "sim"
@@ -273,9 +272,8 @@ module Sim_backend = struct
     let n = params.Params.n in
     (* Node n is the payment infrastructure. *)
     let eng =
-      Engine.create ~seed ~fault:cfg.fault ~keep_events ?latency:cfg.latency
-        ?bandwidth:cfg.bandwidth ?jitter:cfg.jitter ?duplicate:cfg.duplicate
-        ~nodes:(n + 1) ()
+      Engine.create ~seed ~keep_events ?latency:cfg.latency
+        ?bandwidth:cfg.bandwidth ?jitter:cfg.jitter ~nodes:(n + 1) ()
     in
     let now () = Engine.now eng in
     let transports =
@@ -405,8 +403,7 @@ let concurrent_trace ~keep_events ~now =
   let mutex = Mutex.create () in
   let record ~src ~dst ~tag ~bytes =
     Mutex_util.with_lock mutex (fun () ->
-        Trace.record trace
-          { Trace.time = now (); src; dst; tag; bytes; broadcast = false })
+        Trace.record trace { Trace.time = now (); src; dst; tag; bytes })
   in
   (trace, record)
 
@@ -534,10 +531,8 @@ end
 (* Backend constructors                                                *)
 (* ------------------------------------------------------------------ *)
 
-let sim ?(fault = Dmw_sim.Fault.none) ?latency ?bandwidth ?jitter ?duplicate () =
-  Backend
-    ( (module Sim_backend),
-      { Sim_backend.fault; latency; bandwidth; jitter; duplicate } )
+let sim ?latency ?bandwidth ?jitter () =
+  Backend ((module Sim_backend), { Sim_backend.latency; bandwidth; jitter })
 
 let socket ?(timeout = 30.0) () =
   Backend ((module Socket_backend), { Socket_backend.timeout })
@@ -774,6 +769,11 @@ let run ?(strategies = fun _ -> Strategy.Suggested) ?(seed = 42)
   (match pipeline with
   | Some d when d < 1 -> invalid_arg "Dmw_exec.run: pipeline depth < 1"
   | Some _ | None -> ());
+  (* The fault layer keys its verdicts on message identity, but a batch
+     envelope's contents depend on the interleaving: faults would see
+     only the envelope and miss the messages inside. *)
+  if batching && Option.is_some faults then
+    invalid_arg "Dmw_exec.run: faults cannot be combined with batching";
   (* Crash detection is armed exactly when an adverse environment is
      declared; fault-free runs keep the legacy run-to-quiescence
      Stalled semantics that the deviation experiments rely on. *)

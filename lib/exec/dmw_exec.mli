@@ -109,16 +109,15 @@ end
 type backend = Backend : (module BACKEND with type config = 'c) * 'c -> backend
 
 val sim :
-  ?fault:Dmw_sim.Fault.t ->
   ?latency:Dmw_sim.Latency.t ->
   ?bandwidth:float ->
   ?jitter:float ->
-  ?duplicate:float ->
   unit ->
   backend
 (** The discrete-event simulator ({!Dmw_sim.Engine}): deterministic
-    virtual time, pluggable latency/bandwidth/jitter/duplication and
-    fault injection. The default backend. *)
+    virtual time with pluggable latency, bandwidth and jitter. Faults
+    come from [run]'s [?faults], as on every backend. The default
+    backend. *)
 
 val socket :
   ?timeout:float ->
@@ -201,7 +200,9 @@ val run :
     agent's crash-detection watchdog ([watchdog] overrides the 0.25 s
     default period), so a run that can no longer progress ends in a
     clean audited abort ({!Dmw_core.Audit.Peer_silent} /
-    [Deadline_exceeded]) rather than a hang.
+    [Deadline_exceeded]) rather than a hang. The fault layer would see
+    only a batch envelope, not the messages inside it, so [faults]
+    with [~batching:true] raises [Invalid_argument].
 
     [pipeline] bounds how many of the [m] independent task auctions may
     be in flight per agent at once (clamped to [\[1, m\]]). The default

@@ -5,7 +5,6 @@ type 'a delivery = {
   src : int;
   tag : string;
   payload : 'a;
-  was_broadcast : bool;
 }
 
 type 'a event =
@@ -16,8 +15,6 @@ type 'a event =
    all state is touched from the one thread calling [run]. *)
 type 'a t = {
   n : int;
-  fault : Fault.t;
-  fault_inst : Fault.instance;
   latency : src:int -> dst:int -> float;
   trace : Trace.t;
   queue : 'a event Heap.t;
@@ -25,32 +22,25 @@ type 'a t = {
   event_budget : int;
   bandwidth : float;
   jitter : float;
-  duplicate : float;
-  chaos_rng : Prng.t;  (* drives jitter and duplication *)
+  jitter_rng : Prng.t;
   mutable clock : float;
 }
 
-let default_latency ~seed ~n =
-  (* Stable per-link latencies in [1, 2) ms. *)
-  let rng = Prng.create ~seed:(seed lxor 0x1a7e) in
-  let table = Array.init n (fun _ -> Array.init n (fun _ -> 0.001 +. (0.001 *. Prng.float rng))) in
-  fun ~src ~dst -> table.(src).(dst)
-
-let create ?(seed = 0) ?(fault = Fault.none) ?latency ?(keep_events = true)
+let create ?(seed = 0) ?latency ?(keep_events = true)
     ?(event_budget = 100_000_000) ?(bandwidth = infinity) ?(jitter = 0.0)
-    ?(duplicate = 0.0) ~nodes () =
+    ~nodes () =
   if nodes <= 0 then invalid_arg "Engine.create: need at least one node";
   if event_budget <= 0 then invalid_arg "Engine.create: bad event budget";
   if not (bandwidth > 0.0) then invalid_arg "Engine.create: bad bandwidth";
   if jitter < 0.0 || jitter >= 1.0 then invalid_arg "Engine.create: bad jitter";
-  if duplicate < 0.0 || duplicate > 1.0 then
-    invalid_arg "Engine.create: bad duplicate probability";
   let latency =
-    match latency with Some l -> l | None -> default_latency ~seed ~n:nodes
+    match latency with
+    | Some l -> l
+    | None ->
+        (* Stable per-link latencies in [1, 2) ms. *)
+        Latency.uniform ~seed:(seed lxor 0x1a7e) ~n:nodes ~lo:0.001 ~hi:0.002
   in
   { n = nodes;
-    fault;
-    fault_inst = Fault.instantiate fault ~seed:(seed lxor 0xFA17);
     latency;
     trace = Trace.create ~keep_events ();
     queue = Heap.create ();
@@ -58,11 +48,9 @@ let create ?(seed = 0) ?(fault = Fault.none) ?latency ?(keep_events = true)
     event_budget;
     bandwidth;
     jitter;
-    duplicate;
-    chaos_rng = Prng.create ~seed:(seed lxor 0xc4a05);
+    jitter_rng = Prng.create ~seed:(seed lxor 0xc4a05);
     clock = 0.0 }
 
-let nodes t = t.n
 let now t = t.clock
 let trace t = t.trace
 
@@ -70,51 +58,23 @@ let on_message t ~node f =
   if node < 0 || node >= t.n then invalid_arg "Engine.on_message: bad node";
   t.handlers.(node) <- Some f
 
-let enqueue_delivery t ~src ~dst ~tag ~bytes ~payload ~was_broadcast =
-  if src <> dst then
-    Trace.record t.trace
-      { Trace.time = t.clock; src; dst; tag; bytes; broadcast = was_broadcast };
-  let verdict =
-    Fault.decide t.fault_inst ~elapsed:t.clock ~src ~dst ~tag ()
-  in
-  if not verdict.Fault.drop then begin
-    let base =
-      if src = dst then 0.0
-      else
-        t.latency ~src ~dst
-        +. (float_of_int bytes /. t.bandwidth)
-        +. verdict.Fault.delay
-    in
-    let deliver_once () =
-      let factor =
-        if t.jitter = 0.0 then 1.0
-        else 1.0 -. t.jitter +. (2.0 *. t.jitter *. Prng.float t.chaos_rng)
-      in
-      let delivery =
-        { now = t.clock +. (base *. factor); src; tag; payload; was_broadcast }
-      in
-      Heap.push t.queue ~priority:delivery.now (Deliver { dst; delivery })
-    in
-    deliver_once ();
-    for _copy = 1 to verdict.Fault.copies do
-      deliver_once ()
-    done;
-    if t.duplicate > 0.0 && Prng.float t.chaos_rng < t.duplicate then
-      deliver_once ()
-  end
-
 let send t ~src ~dst ~tag ~bytes payload =
   if dst < 0 || dst >= t.n then invalid_arg "Engine.send: bad destination";
-  if Fault.crashed t.fault ~time:t.clock ~node:src then ()
-  else enqueue_delivery t ~src ~dst ~tag ~bytes ~payload ~was_broadcast:false
-
-let publish t ~src ~tag ~bytes payload =
-  if Fault.crashed t.fault ~time:t.clock ~node:src then ()
-  else
-    for dst = 0 to t.n - 1 do
-      if dst <> src then
-        enqueue_delivery t ~src ~dst ~tag ~bytes ~payload ~was_broadcast:true
-    done
+  let base =
+    if src = dst then 0.0
+    else begin
+      Trace.record t.trace { Trace.time = t.clock; src; dst; tag; bytes };
+      t.latency ~src ~dst +. (float_of_int bytes /. t.bandwidth)
+    end
+  in
+  (* Self-sends draw their jitter coin too, so the stream stays aligned
+     with the send sequence. *)
+  let factor =
+    if t.jitter = 0.0 then 1.0
+    else 1.0 -. t.jitter +. (2.0 *. t.jitter *. Prng.float t.jitter_rng)
+  in
+  let delivery = { now = t.clock +. (base *. factor); src; tag; payload } in
+  Heap.push t.queue ~priority:delivery.now (Deliver { dst; delivery })
 
 let at t ~time f =
   Heap.push t.queue ~priority:time (Action f)
@@ -134,12 +94,10 @@ let run t =
         t.clock <- max t.clock time;
         (match ev with
         | Action f -> f ()
-        | Deliver { dst; delivery } ->
-            if not (Fault.crashed t.fault ~time:t.clock ~node:dst) then begin
-              match t.handlers.(dst) with
-              | Some handler -> handler t delivery
-              | None -> ()
-            end);
+        | Deliver { dst; delivery } -> (
+            match t.handlers.(dst) with
+            | Some handler -> handler t delivery
+            | None -> ()));
         loop ()
   in
   loop ();

@@ -2,10 +2,15 @@
 
     Models the communication infrastructure the paper assumes (§3,
     Notation): a set of numbered nodes connected by private
-    point-to-point channels plus a broadcast primitive implemented as
-    [n − 1] unicasts (the cost model of Theorem 11). Delivery is
+    point-to-point channels. A published message is [n − 1] unicasts
+    sent by the caller (the cost model of Theorem 11). Delivery is
     event-driven over a virtual clock with a pluggable latency model;
     execution is deterministic for a fixed seed.
+
+    The engine models an obedient network: it never loses, delays
+    beyond its latency model or duplicates a message. Faults enter at
+    the harness's send boundary ([Dmw_exec.apply_faults]), the same on
+    every backend.
 
     Nodes are registered with an [on_message] handler; a handler may
     send further messages, which are enqueued with their latency. The
@@ -21,34 +26,28 @@ type 'a delivery = {
   src : int;
   tag : string;
   payload : 'a;
-  was_broadcast : bool;
 }
 
 val create :
   ?seed:int ->
-  ?fault:Fault.t ->
   ?latency:(src:int -> dst:int -> float) ->
   ?keep_events:bool ->
   ?event_budget:int ->
   ?bandwidth:float ->
   ?jitter:float ->
-  ?duplicate:float ->
   nodes:int ->
   unit ->
   'a t
-(** [latency] defaults to a deterministic per-pair latency in
-    [[1, 2) ms] derived from the seed (heterogeneous but stable, so
-    message interleavings are interesting yet reproducible).
+(** [latency] defaults to {!Latency.uniform} in [[1, 2) ms] on a salt
+    of the seed (heterogeneous but stable per link, so message
+    interleavings are interesting yet reproducible).
     [bandwidth] (bytes per virtual second) adds a serialization delay
     of [bytes / bandwidth] per message on top of the link latency;
     default infinite (latency-only model). [jitter] (fraction in
     [[0, 1)], default 0) scales each message's delay by a uniform
     factor in [[1 − j, 1 + j]] — nonzero jitter breaks per-link FIFO
-    ordering, which protocols must tolerate. [duplicate] (probability,
-    default 0) delivers an extra copy of a message — an
-    at-least-once link model; receivers must deduplicate. *)
+    ordering, which protocols must tolerate. *)
 
-val nodes : 'a t -> int
 val now : 'a t -> float
 val trace : 'a t -> Trace.t
 
@@ -58,9 +57,6 @@ val on_message : 'a t -> node:int -> ('a t -> 'a delivery -> unit) -> unit
 val send : 'a t -> src:int -> dst:int -> tag:string -> bytes:int -> 'a -> unit
 (** Private point-to-point transmission. Self-sends are delivered
     (with latency 0) but not counted as network messages. *)
-
-val publish : 'a t -> src:int -> tag:string -> bytes:int -> 'a -> unit
-(** Broadcast to every other node, counted as [n − 1] unicasts. *)
 
 val at : 'a t -> time:float -> (unit -> unit) -> unit
 (** Schedule an arbitrary action (used to kick off protocols). *)

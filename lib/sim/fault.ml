@@ -81,10 +81,9 @@ let rec remap t ~keep =
 (* Protocol-phase ranks                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* The protocol's message classes in causal order. Unknown tags (as
-   used by Engine tests with a synthetic payload type) rank with the
-   earliest phase, so [silence_from ~phase:phase_bidding] silences a
-   node completely. *)
+(* The protocol's message classes in causal order. Unknown tags rank
+   with the earliest phase, so [silence_from ~phase:phase_bidding]
+   silences a node completely. *)
 let phase_bidding = 1
 let phase_resolution = 2
 let phase_disclosure = 3
@@ -168,27 +167,9 @@ type decision = { drop : bool; delay : float; copies : int }
 
 let delivered = { drop = false; delay = 0.0; copies = 0 }
 
-(* race: confined sim: the keyless counter path is only taken by
-   single-threaded engines; threaded backends always pass ~key. *)
-type instance = {
-  spec : t;
-  seed : int;
-  occurrences : (int, int) Hashtbl.t;
-      (* Per-(src, dst, tag) message counter, used only when the
-         caller cannot supply a key (single-threaded engines). *)
-}
+type instance = { spec : t; seed : int }
 
-let instantiate spec ~seed = { spec; seed; occurrences = Hashtbl.create 64 }
-
-let spec i = i.spec
-
-let rec crashed t ~time ~node =
-  match t with
-  | Crash c -> c.node = node && time >= c.time
-  | All ps -> List.exists (fun p -> crashed p ~time ~node) ps
-  | None_ | Silence_from _ | Drop_link _ | Drop_tagged _ | Drop_random _
-  | Delay_random _ | Duplicate_random _ ->
-      false
+let instantiate spec ~seed = { spec; seed }
 
 (* Role salts keep the drop, delay and duplication coins of one
    message independent even under composed policies. *)
@@ -237,26 +218,8 @@ let rec decide_spec spec ~seed ~elapsed ~src ~dst ~tag ~key ~attempt =
             copies = acc.copies + d.copies })
         delivered ps
 
-let decide i ~elapsed ~src ~dst ~tag ?key ?(attempt = 0) () =
-  let key =
-    match key with
-    | Some k -> k
-    | None ->
-        (* Single-threaded callers (the sim engine) that cannot name
-           the message get a per-(src, dst, tag) occurrence counter;
-           their call order is deterministic, so replays agree. *)
-        let slot = mix (mix src dst) (tag_hash tag) in
-        let n = Option.value ~default:0 (Hashtbl.find_opt i.occurrences slot) in
-        Hashtbl.replace i.occurrences slot (n + 1);
-        n
-  in
+let decide i ~elapsed ~src ~dst ~tag ~key ?(attempt = 0) () =
   decide_spec i.spec ~seed:i.seed ~elapsed ~src ~dst ~tag ~key ~attempt
-
-let allows t ~time ~src ~dst ~tag =
-  let d =
-    decide_spec t ~seed:0 ~elapsed:time ~src ~dst ~tag ~key:0 ~attempt:0
-  in
-  not d.drop
 
 (* Bounded retransmission is only worth scheduling against policies
    whose losses are independent coin flips; deterministic drops (links,

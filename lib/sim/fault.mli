@@ -8,13 +8,13 @@
 
     A policy is a pure, serializable specification ({!t}). To apply
     one, {!instantiate} it with the run seed and ask {!decide} for a
-    verdict on each transmission. All random policies resolve their
+    verdict on each transmission, as [Dmw_exec.apply_faults] does at
+    every backend's send boundary. All random policies resolve their
     coins as pure functions of the run seed and the {e message
     identity} (source, destination, tag, per-message key, attempt
     number) — never of the order in which decisions are requested — so
-    the same schedule replays bit-identically on the single-threaded
-    simulator and on the concurrent thread/socket backends, whose
-    interleavings differ from run to run. *)
+    the same schedule replays bit-identically on the sim and socket
+    backends, whose interleavings differ. *)
 
 type t
 (** A fault policy specification. Pure data: no generator state. *)
@@ -22,9 +22,10 @@ type t
 val none : t
 
 val crash_at : node:int -> time:float -> t
-(** The node stops sending and receiving from [time] on. Time-based,
-    so only meaningful on the virtual-clock simulator; for a
-    backend-portable crash use {!silence_from}. *)
+(** Traffic from or to the node that is sent at or after [time] is
+    lost at the send boundary; messages already in flight still
+    arrive. Time-based, so only meaningful on the virtual-clock
+    simulator; for a backend-portable crash use {!silence_from}. *)
 
 val silence_from : node:int -> phase:int -> t
 (** The node's outgoing messages are lost from protocol phase [phase]
@@ -92,8 +93,7 @@ val phase_of_name : string -> int option
 (** {2 Decisions} *)
 
 type instance
-(** A policy bound to a run seed: the decision procedure plus the
-    occurrence counters used when callers cannot key messages. *)
+(** A policy bound to a run seed. *)
 
 type decision = {
   drop : bool;       (** Lose the message entirely. *)
@@ -101,12 +101,7 @@ type decision = {
   copies : int;      (** Extra deliveries beyond the first. *)
 }
 
-val delivered : decision
-(** The no-fault verdict: delivered once, on time. *)
-
 val instantiate : t -> seed:int -> instance
-
-val spec : instance -> t
 
 val decide :
   instance ->
@@ -114,7 +109,7 @@ val decide :
   src:int ->
   dst:int ->
   tag:string ->
-  ?key:int ->
+  key:int ->
   ?attempt:int ->
   unit ->
   decision
@@ -122,20 +117,9 @@ val decide :
     the run (virtual or wall-clock — only {!crash_at} reads it).
     [key] names the message within its [(src, dst, tag)] class — the
     harness uses the task index — so that coin flips are functions of
-    message identity; when omitted, an internal per-class occurrence
-    counter is used, which is only deterministic for single-threaded
-    callers such as the sim engine. [attempt] (default 0) distinguishes
+    message identity. [attempt] (default 0) distinguishes
     retransmissions of the same message, giving each attempt an
     independent coin. *)
-
-val crashed : t -> time:float -> node:int -> bool
-(** Whether a {!crash_at} policy has the node down at [time]. *)
-
-val allows : t -> time:float -> src:int -> dst:int -> tag:string -> bool
-(** Pure single-shot drop test for the deterministic policies
-    ({!crash_at}, {!drop_link}, {!drop_tagged}, {!silence_from});
-    random policies are evaluated with a fixed zero seed, so use
-    {!instantiate} + {!decide} for those. *)
 
 val retransmits : t -> int
 (** How many bounded retransmissions the harness should add per send

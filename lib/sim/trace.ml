@@ -4,7 +4,6 @@ type event = {
   dst : int;
   tag : string;
   bytes : int;
-  broadcast : bool;
 }
 
 (* race: confined sim: traces are recorded by the single-threaded
@@ -52,13 +51,6 @@ let events t = List.rev t.events_rev
 
 let last_time t = t.last_time
 
-let reset t =
-  t.events_rev <- [];
-  t.messages <- 0;
-  t.bytes <- 0;
-  t.last_time <- 0.0;
-  Hashtbl.reset t.by_tag
-
 let pp_summary fmt t =
   Format.fprintf fmt "@[<v>";
   Format.fprintf fmt "%-16s %10s %12s@," "tag" "messages" "bytes";
@@ -74,10 +66,8 @@ let pp_sequence ~max_events fmt t =
   List.iteri
     (fun i ev ->
       if i < max_events then
-        Format.fprintf fmt "t=%8.4f  A%-3d %s A%-3d %-14s (%d B)@," ev.time
-          ev.src
-          (if ev.broadcast then "=>" else "->")
-          ev.dst ev.tag ev.bytes)
+        Format.fprintf fmt "t=%8.4f  A%-3d -> A%-3d %-14s (%d B)@," ev.time
+          (ev.src + 1) (ev.dst + 1) ev.tag ev.bytes)
     evs;
   if n > max_events then Format.fprintf fmt "... (%d more events)@," (n - max_events);
   Format.fprintf fmt "@]"

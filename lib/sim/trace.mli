@@ -3,9 +3,9 @@
     The communication-complexity experiment (Table 1) is driven
     entirely by these counters: every point-to-point transmission is
     recorded with its byte size and a free-form [tag] (e.g.
-    ["share"], ["commitments"], ["lambda_psi"]), and broadcasts are
-    accounted as [n − 1] unicasts exactly as Theorem 11 assumes.
-    The retained event list reproduces the Fig. 2 message sequence. *)
+    ["share"], ["commitments"], ["lambda_psi"]). A published message
+    is [n − 1] unicasts, exactly as Theorem 11 assumes. The retained
+    event list reproduces the Fig. 2 message sequence. *)
 
 type event = {
   time : float;        (** Virtual send time. *)
@@ -13,7 +13,6 @@ type event = {
   dst : int;
   tag : string;
   bytes : int;
-  broadcast : bool;    (** True when part of a published message. *)
 }
 
 type t
@@ -37,10 +36,9 @@ val last_time : t -> float
     the protocol layer uses it as the effective completion time,
     excluding trailing no-op timer events. *)
 
-val reset : t -> unit
-
 val pp_summary : Format.formatter -> t -> unit
 (** Per-tag table plus totals. *)
 
 val pp_sequence : max_events:int -> Format.formatter -> t -> unit
-(** Fig. 2-style arrow listing ["t=0.003 A2 -> A5 share (96 B)"]. *)
+(** Fig. 2-style arrow listing ["t=0.003 A2 -> A5 share (96 B)"]:
+    one arrow per unicast, node [i] printed as [A(i+1)]. *)

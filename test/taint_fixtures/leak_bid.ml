@@ -8,5 +8,4 @@ let leak tr (a : t) =
       dst = 1;
       tag = string_of_int a.bids.(0);
       bytes = 0;
-      broadcast = false;
     }

@@ -9,15 +9,15 @@ module Draw = struct
 end
 
 module Out = struct
-  let send eng x = Dmw_sim.Engine.publish eng ~src:0 ~tag:"out" ~bytes:8 x
+  let send eng x = Dmw_sim.Engine.send eng ~src:0 ~dst:1 ~tag:"out" ~bytes:8 x
 end
 
 let draw rng = Prng.below rng (Bigint.of_int 89)
 
 let via_return eng rng =
-  Dmw_sim.Engine.publish eng ~src:0 ~tag:"r" ~bytes:8 (Draw.secret rng)
+  Dmw_sim.Engine.send eng ~src:0 ~dst:1 ~tag:"r" ~bytes:8 (Draw.secret rng)
 
 let via_param eng rng = Out.send eng (Prng.below rng (Bigint.of_int 83))
 
 let via_toplevel eng rng =
-  Dmw_sim.Engine.publish eng ~src:0 ~tag:"t" ~bytes:8 (draw rng)
+  Dmw_sim.Engine.send eng ~src:0 ~dst:1 ~tag:"t" ~bytes:8 (draw rng)

@@ -91,8 +91,8 @@ let random_schedule i =
 (* ------------------------------------------------------------------ *)
 
 (* Everything that must agree across backends. Traces and durations
-   are excluded by design: under faults the backends account
-   attempted sends at different points relative to the drop. *)
+   are excluded by design: socket's agent timers run in real time, so
+   when they fire early they add messages that sim does not send. *)
 let signature (r : Dmw_exec.result) =
   let b = Buffer.create 256 in
   let fmt = Format.formatter_of_buffer b in

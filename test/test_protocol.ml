@@ -15,8 +15,8 @@ let params ?(n = 6) ?(m = 2) ?(c = 1) ?(seed = 3) () =
 (* A fixed instance with a unique minimum per task (no ties). *)
 let bids0 = [| [| 3; 2 |]; [| 1; 3 |]; [| 4; 4 |]; [| 2; 1 |]; [| 4; 3 |]; [| 3; 4 |] |]
 
-let run ?strategies ?fault ?(seed = 7) ?(bids = bids0) p =
-  Dmw_exec.run ?strategies ~backend:(Dmw_exec.sim ?fault ()) ~seed p ~bids
+let run ?strategies ?faults ?(seed = 7) ?(bids = bids0) p =
+  Dmw_exec.run ?strategies ?faults ~seed p ~bids
 
 let minwork_reference p bids =
   let rank = Params.pseudonym_rank p in
@@ -694,8 +694,8 @@ let test_agent_fuzz_random_messages () =
 
 let test_network_crash_stalls_safely () =
   let p = params () in
-  let fault = Fault.crash_at ~node:2 ~time:0.0005 in
-  let r = run p ~fault in
+  let faults = Fault.crash_at ~node:2 ~time:0.0005 in
+  let r = run p ~faults in
   Alcotest.(check bool) "not completed" false (Dmw_exec.completed r);
   (* Everyone's realized utility is zero: no allocation happened. *)
   Array.iter
@@ -704,13 +704,24 @@ let test_network_crash_stalls_safely () =
 
 let test_network_share_loss_stalls () =
   let p = params () in
-  let fault = Fault.drop_link ~src:0 ~dst:3 in
-  let r = run p ~fault in
+  let faults = Fault.drop_link ~src:0 ~dst:3 in
+  let r = run p ~faults in
   Alcotest.(check bool) "not completed" false (Dmw_exec.completed r);
-  Alcotest.(check bool) "agent 3 stalled in bidding" true
+  Alcotest.(check bool) "agent 3 aborted with Peer_silent { agent = 0 }" true
     (match r.Dmw_exec.statuses.(3).Dmw_exec.aborted with
-    | Some (Audit.Stalled { phase }) -> phase = "bidding"
+    | Some (Audit.Peer_silent { agent }) -> agent = 0
     | _ -> false)
+
+let test_faults_refuse_batching () =
+  (* The fault layer would see only the batch envelopes. *)
+  Alcotest.check_raises "refused"
+    (Invalid_argument "Dmw_exec.run: faults cannot be combined with batching")
+    (fun () ->
+      ignore
+        (Dmw_exec.run ~seed:7 ~batching:true
+           ~faults:(Fault.silence_from ~node:2 ~phase:Fault.phase_resolution)
+           (params ()) ~bids:bids0
+          : Dmw_exec.result))
 
 let test_minimal_configuration () =
   (* The smallest legal protocol: n = 3, c = 1, W = {1}, one task.
@@ -757,7 +768,8 @@ let test_chaotic_network_preserves_outcome () =
     (fun seed ->
       let r =
         Dmw_exec.run ~seed p ~bids:bids0 ~keep_events:false
-          ~backend:(Dmw_exec.sim ~jitter:0.6 ~duplicate:0.2 ())
+          ~faults:(Fault.duplicate_random ~probability:0.2)
+          ~backend:(Dmw_exec.sim ~jitter:0.6 ())
       in
       Alcotest.(check bool)
         (Printf.sprintf "seed %d completed" seed)
@@ -889,4 +901,6 @@ let () =
            test_agent_fuzz_random_messages ]);
       ("network faults",
        [ Alcotest.test_case "crash" `Quick test_network_crash_stalls_safely;
-         Alcotest.test_case "share loss" `Quick test_network_share_loss_stalls ]) ]
+         Alcotest.test_case "share loss" `Quick test_network_share_loss_stalls;
+         Alcotest.test_case "batching refused" `Quick
+           test_faults_refuse_batching ]) ]

@@ -20,7 +20,7 @@ let seed = 11
 
 let tags =
   [ "share"; "commitments"; "lambda_psi"; "f_disclosure";
-    "f_disclosure_hardened"; "lambda_psi_excl"; "payment_report" ]
+    "f_disclosure_h"; "lambda_psi_excl"; "payment_report" ]
 
 let run_uniform ?pipeline ~backend ~n ~m ~w () =
   Metrics.reset ();
@@ -124,6 +124,22 @@ let test_disabled_records_nothing () =
   Alcotest.(check int) "no spans recorded" 0
     (List.length (Dmw_obs.Span.completed ()))
 
+(* A hardened disclosure is part of the resolve phase: every span of a
+   hardened run is one of the run, task auction and four phase spans. *)
+let test_hardened_span_names () =
+  Metrics.reset ();
+  Dmw_obs.Span.reset ();
+  Metrics.enable ();
+  Fun.protect ~finally:Metrics.disable @@ fun () ->
+  let params = Params.make_exn ~group_bits:16 ~seed ~n:5 ~m:1 ~c:1 () in
+  let bids = [| [| 2 |]; [| 1 |]; [| 3 |]; [| 2 |]; [| 3 |] |] in
+  let r = Dmw_exec.run ~seed ~hardened:true params ~bids in
+  Alcotest.(check bool) "run completes" true (Dmw_exec.completed r);
+  Alcotest.(check (list string)) "span names"
+    [ "commit"; "payment"; "resolve"; "run"; "share"; "task auction" ]
+    (List.sort_uniq String.compare
+       (List.map (fun s -> s.Dmw_obs.Span.name) (Dmw_obs.Span.completed ())))
+
 let () =
   Alcotest.run "table1"
     [ ( "conformance",
@@ -133,4 +149,7 @@ let () =
           Alcotest.test_case "pipelined depths" `Quick test_pipelined_points ] );
       ( "disabled",
         [ Alcotest.test_case "records nothing" `Quick
-            test_disabled_records_nothing ] ) ]
+            test_disabled_records_nothing ] );
+      ( "spans",
+        [ Alcotest.test_case "hardened phase names" `Quick
+            test_hardened_span_names ] ) ]
