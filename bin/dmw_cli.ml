@@ -218,8 +218,11 @@ let run_cmd =
       | None -> fun _ -> Strategy.Suggested
       | Some d -> fun i -> if i = d then strategy else Strategy.Suggested
     in
-    let wal = Option.map Dmw_wal.create wal_path in
     match
+      (* Refuse before the journal is opened: creating it truncates
+         whatever an earlier run left there. *)
+      Dmw_exec.check_options ~batching ~faults ~retries ~pipeline;
+      let wal = Option.map Dmw_wal.create wal_path in
       Fun.protect
         ~finally:(fun () -> Option.iter Dmw_wal.close wal)
         (fun () ->

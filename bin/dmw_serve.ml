@@ -1,10 +1,10 @@
 (* dmw_serve — the persistent auction service daemon.
 
-   Promotes the socket backend into a long-running process: n agent
-   endpoints stay connected over one fabric, jobs arrive through a
-   Unix-domain socket front door (newline protocol; see
+   Puts the socket backend behind a long-running process: jobs arrive
+   through a Unix-domain socket front door (newline protocol; see
    Dmw_serve_core.Front), and queued jobs are batched into epoch
-   waves. SIGINT/SIGTERM drain the queue before exiting. *)
+   waves, each one a one-shot socket run over n agent endpoints.
+   SIGINT/SIGTERM drain the queue before exiting. *)
 
 open Cmdliner
 
@@ -215,8 +215,8 @@ let cmd =
   in
   Cmd.v
     (Cmd.info "dmw_serve" ~version:"1.0.0"
-       ~doc:"Persistent DMW auction service: agents stay connected, jobs \
-             stream in, waves of auctions run per epoch.")
+       ~doc:"Persistent DMW auction service: jobs stream in, waves of \
+             auctions run per epoch, each over its own agent endpoints.")
     Term.(const Stdlib.exit $ term)
 
 let () = exit (Cmd.eval' cmd)

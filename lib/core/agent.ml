@@ -75,12 +75,6 @@ type t = {
          once. [m] (the default) reproduces the historical full-overlap
          behavior bit for bit; [1] is strictly sequential — task j+1's
          commit phase starts only once task j resolved. *)
-  instance : int option;
-      (* Auction-wave discriminator for persistent services: when set,
-         every outgoing message travels in a [Messages.Scoped] envelope
-         and only envelopes carrying the same instance are accepted, so
-         interleaved or stale waves never cross streams. [None] (the
-         default, all one-shot runs) keeps the bare wire format. *)
   outbox : Messages.t list array;
       (* Pending messages per destination (reversed); flushed — as one
          Batch envelope per destination when [batching] — at the end of
@@ -121,16 +115,13 @@ let min_resolution_points params =
    rounds (partial resolution, Theorem 8 fallback) exhaust first. *)
 let watch_threshold = 4
 
-let create ?(batching = false) ?(hardened = false) ?watchdog ?pipeline ?instance
+let create ?(batching = false) ?(hardened = false) ?watchdog ?pipeline
     ?on_phase ~params ~id ~bids ~strategy ~rng () =
   (match watchdog with
   | Some p when p <= 0.0 -> invalid_arg "Agent.create: watchdog period <= 0"
   | Some _ | None -> ());
   (match pipeline with
   | Some d when d < 1 -> invalid_arg "Agent.create: pipeline depth < 1"
-  | Some _ | None -> ());
-  (match instance with
-  | Some e when e < 0 -> invalid_arg "Agent.create: negative instance"
   | Some _ | None -> ());
   let n = params.Params.n in
   if Array.length bids <> params.Params.m then
@@ -173,7 +164,6 @@ let create ?(batching = false) ?(hardened = false) ?watchdog ?pipeline ?instance
       (match pipeline with
       | Some d -> min d params.Params.m
       | None -> params.Params.m);
-    instance;
     on_phase;
     outbox = Array.make (n + 1) [];
     aborted = None;
@@ -198,7 +188,6 @@ let note_phase t j =
       let ts = t.tasks.(j) in
       f ~task:j ts.phase ts.outcome
 let pipeline_depth t = t.pipeline
-let instance t = t.instance
 let outcome t ~task = t.tasks.(task).outcome
 let outcomes t = Array.map (fun ts -> ts.outcome) t.tasks
 let reported_payments t = Option.map Array.copy t.payments_sent
@@ -240,18 +229,7 @@ let publish tr t msg =
   done
 
 let flush (tr : transport) t =
-  (* A scoped agent wraps every wire message in its wave's envelope at
-     the send boundary; [Messages.tag] reports the payload's tag, so
-     the per-tag counters and the fault layer's identity-pure coins are
-     unchanged by the wrapping (the byte counters do see the envelope —
-     it really crosses the wire). *)
-  let wire msg =
-    match t.instance with
-    | None -> msg
-    | Some instance -> Messages.Scoped { instance; msg }
-  in
   let send ~dst msg =
-    let msg = wire msg in
     tr.send ~dst ~tag:(Messages.tag msg) ~bytes:(Codec.encoded_size msg) msg
   in
   Array.iteri
@@ -832,7 +810,7 @@ let rec handle_payload eng t ~src payload =
         List.iter
           (fun m ->
             match m with
-            | Messages.Batch _ | Messages.Scoped _ -> ()
+            | Messages.Batch _ -> ()
             | Messages.Share _ | Messages.Commitments _ | Messages.Lambda_psi _
             | Messages.F_disclosure _ | Messages.F_disclosure_hardened _
             | Messages.Lambda_psi_excl _ | Messages.Payment_report _ ->
@@ -899,28 +877,10 @@ let rec handle_payload eng t ~src payload =
           advance eng t task
         end
     | Messages.Payment_report _ -> ()
-    | Messages.Scoped _ ->
-        (* Envelopes are opened (and instance-checked) in [handle];
-           one that reaches the payload layer is malformed. *)
-        ()
   end
 
 let handle eng t ~src payload =
-  (* The wave filter: a scoped agent accepts only envelopes carrying
-     its own instance — bare frames and foreign or stale waves are
-     dropped before they can touch protocol state. An unscoped agent
-     (every one-shot run) accepts only bare frames, exactly as
-     before. *)
-  (match payload with
-  | Messages.Scoped { instance; msg } -> (
-      match t.instance with
-      | Some e when e = instance -> handle_payload eng t ~src msg
-      | Some _ | None -> ())
-  | Messages.Share _ | Messages.Commitments _ | Messages.Lambda_psi _
-  | Messages.F_disclosure _ | Messages.F_disclosure_hardened _
-  | Messages.Lambda_psi_excl _ | Messages.Payment_report _ | Messages.Batch _
-    ->
-      if Option.is_none t.instance then handle_payload eng t ~src payload);
+  handle_payload eng t ~src payload;
   flush eng t
 
 let phase_name = function

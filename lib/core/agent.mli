@@ -46,7 +46,6 @@ type t
 
 val create :
   ?batching:bool -> ?hardened:bool -> ?watchdog:float -> ?pipeline:int ->
-  ?instance:int ->
   ?on_phase:(task:int -> phase -> task_outcome option -> unit) ->
   params:Params.t -> id:int -> bids:int array ->
   strategy:Strategy.t -> rng:Prng.t -> unit -> t
@@ -89,14 +88,6 @@ val create :
     only completion latency changes. All agents of a run must agree on
     the depth.
 
-    [~instance:e] tags the agent as part of auction wave [e] of a
-    persistent service: every outgoing message is wrapped in a
-    {!Messages.Scoped} envelope carrying [e], and only envelopes with
-    the same instance are accepted — frames from stale or interleaved
-    waves on a long-lived connection are dropped at the door. Default
-    [None]: bare wire format, bare frames accepted (all one-shot
-    runs).
-
     [~on_phase:f] installs a phase-machine observer: [f ~task ph out]
     fires on the agent's own execution context every time a task's
     phase cell changes — at admission (entering [Bidding]) and at each
@@ -128,9 +119,6 @@ val phase_of : t -> task:int -> phase
 
 val pipeline_depth : t -> int
 (** The effective admission-window size (after clamping to [m]). *)
-
-val instance : t -> int option
-(** The auction-wave discriminator, if this agent is scoped. *)
 
 val outcome : t -> task:int -> task_outcome option
 

@@ -91,8 +91,6 @@ let tag_lambda_psi_excl = 5
 let tag_payment_report = 6
 let tag_batch = 7
 let tag_f_disclosure_hardened = 8
-let tag_scoped = 9
-let max_instance = (1 lsl 32) - 1
 
 let pedersen_vector v = Array.map Pedersen.to_element v
 let to_pedersen_vector v = Array.map Pedersen.of_element v
@@ -107,7 +105,6 @@ let rec encode msg =
         (fun m ->
           (match m with
           | Messages.Batch _ -> invalid_arg "Codec: nested batch"
-          | Messages.Scoped _ -> invalid_arg "Codec: scoped batch element"
           | _ -> ());
           let enc = encode m in
           put_u16 buf (String.length enc);
@@ -147,17 +144,7 @@ let rec encode msg =
       put_bigint buf psi
   | Messages.Payment_report { payments } ->
       put_u8 buf tag_payment_report;
-      put_floats buf payments
-  | Messages.Scoped { instance; msg } ->
-      if instance < 0 || instance > max_instance then
-        invalid_arg "Codec: instance out of range";
-      (match msg with
-      | Messages.Scoped _ -> invalid_arg "Codec: nested scope"
-      | _ -> ());
-      put_u8 buf tag_scoped;
-      put_u16 buf (instance lsr 16);
-      put_u16 buf (instance land 0xffff);
-      Buffer.add_string buf (encode msg));
+      put_floats buf payments);
   Buffer.contents buf
 
 let rec decode s =
@@ -178,19 +165,9 @@ let rec decode s =
           let* m = decode (String.sub s pos len) in
           (match m with
           | Messages.Batch _ -> Error "nested batch"
-          | Messages.Scoped _ -> Error "scoped batch element"
           | _ -> go (m :: acc) (pos + len) (remaining - 1))
     in
     go [] pos count
-  end
-  else if tag = tag_scoped then begin
-    let* hi, pos = get_u16 s ~pos in
-    let* lo, pos = get_u16 s ~pos in
-    let instance = (hi lsl 16) lor lo in
-    let* msg = decode (String.sub s pos (String.length s - pos)) in
-    match msg with
-    | Messages.Scoped _ -> Error "nested scope"
-    | _ -> Ok (Messages.Scoped { instance; msg })
   end
   else if tag = tag_payment_report then begin
     let* payments, pos = get_floats s ~pos in

@@ -15,9 +15,8 @@ type t =
   | Lambda_psi_excl of { task : int; lambda : Group.elt; psi : Group.elt }
   | Payment_report of { payments : float array }
   | Batch of t list
-  | Scoped of { instance : int; msg : t }
 
-let rec tag = function
+let tag = function
   | Share _ -> "share"
   | Commitments _ -> "commitments"
   | Lambda_psi _ -> "lambda_psi"
@@ -26,9 +25,8 @@ let rec tag = function
   | Lambda_psi_excl _ -> "lambda_psi_excl"
   | Payment_report _ -> "payment_report"
   | Batch _ -> "batch"
-  | Scoped { msg; _ } -> tag msg
 
-let rec task = function
+let task = function
   | Share { task; _ }
   | Commitments { task; _ }
   | Lambda_psi { task; _ }
@@ -37,7 +35,6 @@ let rec task = function
   | Lambda_psi_excl { task; _ } ->
       Some task
   | Payment_report _ | Batch _ -> None
-  | Scoped { msg; _ } -> task msg
 
 let header_bytes = 8 (* task id + tag *)
 
@@ -55,4 +52,3 @@ let rec byte_size group ~n = function
   | Payment_report { payments } -> header_bytes + (8 * Array.length payments)
   | Batch msgs ->
       List.fold_left (fun acc m -> acc + byte_size group ~n m) header_bytes msgs
-  | Scoped { msg; _ } -> header_bytes + byte_size group ~n msg

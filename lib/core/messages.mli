@@ -46,25 +46,16 @@ type t =
           shares and commitments at once, so batching them turns
           [Θ(mn²)] messages into [Θ(n²)] envelopes (the {e bytes}
           remain [Θ(mn²)]). Nesting batches is not allowed. *)
-  | Scoped of { instance : int; msg : t }
-      (** A protocol message bound to one auction wave of a persistent
-          service ([dmw_serve]): [instance] is the epoch that produced
-          it, so frames from interleaved or stale waves never cross
-          streams — an agent drops any envelope whose instance is not
-          its own. One-shot runs keep the bare wire format; nesting
-          scopes is not allowed (a scope may wrap a {!Batch}, but batch
-          elements stay raw). *)
 
 val tag : t -> string
-(** A scoped envelope reports its payload's tag, so the per-tag
-    observability counters and the fault layer's identity-pure coins
-    are indifferent to the wrapping. *)
+(** The constructor's name in lower case ([F_disclosure_hardened] is
+    ["f_disclosure_h"]): the key of the per-tag observability counters
+    and one input of the fault layer's identity-pure coins. *)
 
 val task : t -> int option
 (** The auction a message belongs to; [None] for payment reports and
-    batch envelopes ({!Scoped} delegates to its payload). Used by the
-    agents to range-check inputs and by the fault layer to key
-    per-message coin flips. *)
+    batch envelopes. Used by the agents to range-check inputs and by
+    the fault layer to key per-message coin flips. *)
 
 val byte_size : Group.t -> n:int -> t -> int
 (** Wire-size model used for the byte counters: bignums at minimal

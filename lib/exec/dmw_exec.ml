@@ -2,7 +2,6 @@ open Dmw_bigint
 open Dmw_core
 module Trace = Dmw_sim.Trace
 module Engine = Dmw_sim.Engine
-module Mailbox = Dmw_runtime.Mailbox
 module Mutex_util = Dmw_runtime.Mutex_util
 module Frame = Dmw_net.Frame
 module Fabric = Dmw_net.Fabric
@@ -55,7 +54,7 @@ module Obs = struct
   module Span = Dmw_obs.Span
 
   (* Which phase of an auction a message belongs to. *)
-  let rec phase_of = function
+  let phase_of = function
     | Messages.Share _ -> "share"
     | Messages.Commitments _ -> "commit"
     | Messages.Lambda_psi _ | Messages.F_disclosure _
@@ -63,7 +62,6 @@ module Obs = struct
         "resolve"
     | Messages.Payment_report _ -> "payment"
     | Messages.Batch _ -> "batch"
-    | Messages.Scoped { msg; _ } -> phase_of msg
 
   type cell = { mutable t0 : float; mutable t1 : float }
 
@@ -239,8 +237,6 @@ module type BACKEND = sig
 
   val name : string
 
-  val instance : config -> int option
-
   val execute :
     config ->
     params:Params.t ->
@@ -266,7 +262,6 @@ module Sim_backend = struct
   }
 
   let name = "sim"
-  let instance _ = None
 
   let execute cfg ~params ~seed ~keep_events ~faults ~agents ~report =
     let n = params.Params.n in
@@ -293,7 +288,7 @@ module Sim_backend = struct
         | Messages.Payment_report { payments } -> report ~src:d.Engine.src payments
         | Messages.Share _ | Messages.Commitments _ | Messages.Lambda_psi _
         | Messages.F_disclosure _ | Messages.F_disclosure_hardened _
-        | Messages.Lambda_psi_excl _ | Messages.Batch _ | Messages.Scoped _ ->
+        | Messages.Lambda_psi_excl _ | Messages.Batch _ ->
             (* The infrastructure node only understands payment reports;
                anything else addressed to it is a protocol bug upstream
                and is dropped, not silently half-handled. *)
@@ -308,96 +303,33 @@ module Sim_backend = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Socket sessions                                                     *)
+(* Backend: Unix-domain sockets                                        *)
 (* ------------------------------------------------------------------ *)
-
-type session = {
-  t0 : float;  (* the session's clock: spans and fault timing of every epoch *)
-  fabric : Fabric.t;
-  (* race: confined readonly: fixed at open; each Mailbox inside
-     carries its own lock. *)
-  seats : (Unix.file_descr -> Endpoint.outcome) Mailbox.t array;
-      (* per worker: the next epoch's endpoint session *)
-  done_box : unit Mailbox.t;  (* workers signal end-of-epoch here *)
-  (* race: confined owner: created by [session], joined by
-     [close_session] — both on the thread that owns the session. *)
-  workers : Thread.t array;
-}
-
-(* One thread per agent endpoint, alive for the whole session: each
-   epoch it takes that epoch's endpoint session and runs it over the
-   same fd. The done_box push precedes the loop decision so the epoch
-   barrier can never miss a worker that is about to exit. *)
-let worker ~fd ~seats ~done_box () =
-  let rec loop () =
-    match Mailbox.pop seats with
-    | None -> ()
-    | Some run_session ->
-        let outcome = run_session fd in
-        Mailbox.push done_box ();
-        (match outcome with `Epoch_end -> loop () | `Stop -> ())
-  in
-  loop ()
-
-let session ~agents:n =
-  let t0 = Unix.gettimeofday () in
-  (* Endpoints 0..n-1 are the agents; endpoint n is the payment
-     infrastructure, read by the thread that runs the epochs. *)
-  let fabric = Fabric.create ~endpoints:(n + 1) in
-  let seats = Array.init n (fun _ -> Mailbox.create ()) in
-  let done_box = Mailbox.create () in
-  let workers =
-    Array.init n (fun i ->
-        Thread.create
-          (worker ~fd:(Fabric.endpoint_fd fabric i) ~seats:seats.(i) ~done_box)
-          ())
-  in
-  { t0; fabric; seats; done_box; workers }
-
-let close_session s =
-  (* After a completed barrier every worker idles in its seat mailbox;
-     the stop also ends a session a timed-out barrier left running. *)
-  Array.iter Mailbox.close s.seats;
-  Fabric.broadcast_stop s.fabric;
-  Array.iter Thread.join s.workers;
-  Mailbox.close s.done_box;
-  Fabric.shutdown s.fabric
-
-(* The payment report a message carries for this epoch: a Scoped one
-   naming [instance] when the epoch is scoped, a bare one otherwise. A
-   report of a previous wave still sitting in the socket buffer thus
-   never feeds this wave's settlement. *)
-let epoch_report ~instance = function
-  | Messages.Payment_report { payments } when Option.is_none instance ->
-      Some payments
-  | Messages.Scoped { instance = e; msg = Messages.Payment_report { payments } }
-    when instance = Some e ->
-      Some payments
-  | Messages.Payment_report _ | Messages.Scoped _ | Messages.Share _
-  | Messages.Commitments _ | Messages.Lambda_psi _ | Messages.F_disclosure _
-  | Messages.F_disclosure_hardened _ | Messages.Lambda_psi_excl _
-  | Messages.Batch _ ->
-      None
 
 (* Wait up to [remaining] seconds for one frame on the infrastructure
    endpoint [fd]. *)
-let read_report fd ~instance remaining =
+let read_report fd remaining =
   match Unix.select [ fd ] [] [] remaining with
   | [], _, _ -> None
   | _ -> (
       match Frame.read fd with
       | `Closed -> None
       | `Frame (src, _, payload) -> (
-          match Result.map (epoch_report ~instance) (Codec.decode payload) with
-          | Ok (Some payments) -> Some (src, payments)
-          | Ok None | Error _ ->
-              (* Not a report of this epoch: skip it without consuming
-                 the caller's one-report budget. *)
+          match Codec.decode payload with
+          | Ok (Messages.Payment_report { payments }) -> Some (src, payments)
+          | Ok
+              ( Messages.Share _ | Messages.Commitments _
+              | Messages.Lambda_psi _ | Messages.F_disclosure _
+              | Messages.F_disclosure_hardened _ | Messages.Lambda_psi_excl _
+              | Messages.Batch _ )
+          | Error _ ->
+              (* Not a report: skip it without consuming the caller's
+                 one-report budget. *)
               Some (-1, [||])))
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> Some (-1, [||])
 
 (* A trace fed concurrently by every agent thread; event times are
-   wall-clock seconds on the session's clock [now]. *)
+   wall-clock seconds on the run's clock [now]. *)
 let concurrent_trace ~keep_events ~now =
   let trace = Trace.create ~keep_events () in
   let mutex = Mutex.create () in
@@ -407,7 +339,7 @@ let concurrent_trace ~keep_events ~now =
   in
   (trace, record)
 
-(* Drain this epoch's payment reports from the infrastructure endpoint
+(* Drain the run's payment reports from the infrastructure endpoint
    [fd] until every agent reported once or the deadline passes (a
    stalled run — some agent aborted — never produces all n reports).
    [finished] — given the received-so-far membership test — says
@@ -418,7 +350,7 @@ let concurrent_trace ~keep_events ~now =
    the full deadline. *)
 let collect_grace = 0.25
 
-let collect_reports fd ~instance ~n ~deadline ~finished ~report =
+let collect_reports fd ~n ~deadline ~finished ~report =
   let received = Hashtbl.create n in
   let continue_ = ref true in
   let finished_at = ref None in
@@ -435,7 +367,7 @@ let collect_reports fd ~instance ~n ~deadline ~finished ~report =
     let remaining = stop_at -. now in
     if remaining <= 0.0 then continue_ := false
     else
-      match read_report fd ~instance (Float.min remaining 0.05) with
+      match read_report fd (Float.min remaining 0.05) with
       | None -> () (* nothing this slice; re-check [finished] *)
       | Some (src, payments) ->
           if src >= 0 && src < n && not (Hashtbl.mem received src) then begin
@@ -457,74 +389,54 @@ let no_more_reports agents received =
       || Option.is_some (Agent.reported_payments a))
     agents
 
-(* One epoch over a session: deal the agents to the workers, drain this
-   epoch's payment reports, then end every endpoint session with the
-   epoch barrier and wait for all n workers to acknowledge — a worker
-   still draining this epoch must never take the next epoch's seat
-   before its session returns. *)
-let session_epoch s ~name ~instance ~timeout ~keep_events ~faults ~agents
-    ~report =
-  let n = Array.length s.seats in
-  if Array.length agents <> n then
-    invalid_arg "Dmw_exec: a session epoch needs one agent per endpoint";
-  let now () = Unix.gettimeofday () -. s.t0 in
-  let trace, record = concurrent_trace ~keep_events ~now in
-  let e0 = Unix.gettimeofday () in
-  Array.iteri
-    (fun i agent ->
-      Mailbox.push s.seats.(i) (fun fd ->
-          (* det: obs-only: the wall clock threaded here is the span
-             timestamp inside the obs transport wrapper (and the fault
-             layer's elapsed time, which only decides whether and when
-             a frame is delivered); frame payloads come from the
-             agent's protocol state alone *)
-          Endpoint.run_session ~fd ~agent
-            ~wrap:(fun base ->
-              maybe_faults faults ~now ~src:i
-                (Obs.transport ~backend:name ~now ~src:i base))
-            ~on_recv:(fun ~src:_ -> Obs.recv ~backend:name)
-            ~on_send:(record ~src:i) ()))
-    agents;
-  collect_reports (Fabric.endpoint_fd s.fabric n) ~instance ~n
-    ~deadline:(e0 +. timeout) ~finished:(no_more_reports agents) ~report;
-  Fabric.broadcast_epoch s.fabric ~instance:(Option.value instance ~default:0);
-  for _ = 1 to n do
-    ignore (Mailbox.pop ~timeout s.done_box : unit option)
-  done;
-  (* det: wallclock: duration is the measured wall time of the epoch —
-     reporting, never part of the consensus signature or the wire *)
-  { trace; duration = Unix.gettimeofday () -. e0 }
-
-(* ------------------------------------------------------------------ *)
-(* Backends: Unix-domain sockets                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* A one-shot run is a session of one unscoped epoch. *)
+(* One run: a fresh fabric and one endpoint thread per agent. The
+   harness reads agent state only after [execute] returns, so the
+   endpoints are stopped, their threads joined and the fabric shut, in
+   that order, before it does. *)
 module Socket_backend = struct
   type config = { timeout : float }
 
   let name = "socket"
-  let instance _ = None
 
   let execute cfg ~params ~seed:_ ~keep_events ~faults ~agents ~report =
-    let s = session ~agents:params.Params.n in
+    let n = params.Params.n in
+    let t0 = Unix.gettimeofday () in
+    let now () = Unix.gettimeofday () -. t0 in
+    let trace, record = concurrent_trace ~keep_events ~now in
+    (* Endpoints 0..n-1 are the agents; endpoint n is the payment
+       infrastructure, read by this thread. *)
+    let fabric = Fabric.create ~endpoints:(n + 1) in
+    let threads =
+      Array.mapi
+        (fun i agent ->
+          Thread.create
+            (fun () ->
+              (* det: obs-only: the wall clock threaded here is the span
+                 timestamp inside the obs transport wrapper (and the
+                 fault layer's elapsed time, which only decides whether
+                 and when a frame is delivered); frame payloads come
+                 from the agent's protocol state alone *)
+              Endpoint.run_session ~fd:(Fabric.endpoint_fd fabric i) ~agent
+                ~wrap:(fun base ->
+                  maybe_faults faults ~now ~src:i
+                    (Obs.transport ~backend:name ~now ~src:i base))
+                ~on_recv:(fun ~src:_ -> Obs.recv ~backend:name)
+                ~on_send:(record ~src:i) ())
+            ())
+        agents
+    in
     Fun.protect
-      ~finally:(fun () -> close_session s)
+      ~finally:(fun () ->
+        Fabric.broadcast_stop fabric;
+        Array.iter Thread.join threads;
+        Fabric.shutdown fabric)
       (fun () ->
-        session_epoch s ~name ~instance:None ~timeout:cfg.timeout
-          ~keep_events ~faults ~agents ~report)
-end
-
-(* One epoch of a long-lived session, its agents scoped to the epoch. *)
-module Epoch_backend = struct
-  type config = { session : session; epoch : int; timeout : float }
-
-  let name = "serve"
-  let instance cfg = Some cfg.epoch
-
-  let execute cfg ~params:_ ~seed:_ ~keep_events ~faults ~agents ~report =
-    session_epoch cfg.session ~name ~instance:(instance cfg)
-      ~timeout:cfg.timeout ~keep_events ~faults ~agents ~report
+        collect_reports (Fabric.endpoint_fd fabric n) ~n
+          ~deadline:(t0 +. cfg.timeout) ~finished:(no_more_reports agents)
+          ~report);
+    (* det: wallclock: duration is the measured wall time of the run —
+       reporting, never part of the consensus signature or the wire *)
+    { trace; duration = Unix.gettimeofday () -. t0 }
 end
 
 (* ------------------------------------------------------------------ *)
@@ -536,9 +448,6 @@ let sim ?latency ?bandwidth ?jitter () =
 
 let socket ?(timeout = 30.0) () =
   Backend ((module Socket_backend), { Socket_backend.timeout })
-
-let epoch session ~epoch ~timeout =
-  Backend ((module Epoch_backend), { Epoch_backend.session; epoch; timeout })
 
 let backend_name (Backend ((module B), _)) = B.name
 
@@ -598,7 +507,6 @@ let run_attempt ~strategies ~seed ~keep_events ~batching ~hardened ~watchdog
   let agents =
     Array.init n (fun i ->
         Agent.create ~batching ~hardened ?watchdog ?pipeline
-          ?instance:(B.instance config)
           ?on_phase:(if i = 0 then on_phase else None)
           ~params ~id:i ~bids:bids.(i)
           ~strategy:(strategies i)
@@ -761,10 +669,7 @@ let remap_result ~params0 ~orig ~frozen ~attempt (r : result) =
 let completed_attempt r =
   Option.is_some r.schedule && Array.for_all Option.is_some r.payments
 
-let run ?(strategies = fun _ -> Strategy.Suggested) ?(seed = 42)
-    ?(keep_events = true) ?(batching = false) ?(hardened = false) ?faults
-    ?watchdog ?(retries = 0) ?pipeline ?wal ?(backend = sim ())
-    (params : Params.t) ~bids =
+let check_options ~batching ~faults ~retries ~pipeline =
   if retries < 0 then invalid_arg "Dmw_exec.run: negative retries";
   (match pipeline with
   | Some d when d < 1 -> invalid_arg "Dmw_exec.run: pipeline depth < 1"
@@ -773,7 +678,13 @@ let run ?(strategies = fun _ -> Strategy.Suggested) ?(seed = 42)
      envelope's contents depend on the interleaving: faults would see
      only the envelope and miss the messages inside. *)
   if batching && Option.is_some faults then
-    invalid_arg "Dmw_exec.run: faults cannot be combined with batching";
+    invalid_arg "Dmw_exec.run: faults cannot be combined with batching"
+
+let run ?(strategies = fun _ -> Strategy.Suggested) ?(seed = 42)
+    ?(keep_events = true) ?(batching = false) ?(hardened = false) ?faults
+    ?watchdog ?(retries = 0) ?pipeline ?wal ?(backend = sim ())
+    (params : Params.t) ~bids =
+  check_options ~batching ~faults ~retries ~pipeline;
   (* Crash detection is armed exactly when an adverse environment is
      declared; fault-free runs keep the legacy run-to-quiescence
      Stalled semantics that the deviation experiments rely on. *)

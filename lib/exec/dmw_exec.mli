@@ -45,7 +45,7 @@ type result = {
           re-auctioned run, the final attempt's trace. *)
   duration : float;
       (** Virtual seconds until the last protocol message (sim), or
-          wall-clock seconds for the run (socket, epoch). *)
+          wall-clock seconds for the run (socket). *)
   attempts : int;
       (** Number of protocol executions: 1, plus one per re-auction
           after an environmental abort (see [run]'s [?retries]). *)
@@ -81,19 +81,13 @@ val apply_faults :
 (** A message fabric. [execute] runs Phases II–IV of the prepared
     [agents] to completion (or to its own notion of a deadline),
     forwarding every Phase IV payment report to [report], and returns
-    the trace. It must serialize all callbacks into each agent.
-
-    [instance] is the {!Dmw_core.Messages.Scoped} instance the harness
-    gives every agent of a run on this backend ({!Dmw_core.Agent.create}'s
-    [?instance]): [None] for {!sim} and {!socket}, whose agents keep
-    the bare wire format; [Some e] for an {!epoch} of a
-    session. *)
+    the trace. It must serialize all callbacks into each agent, and
+    must not touch them after it returns: the harness reads the
+    agents' state then. *)
 module type BACKEND = sig
   type config
 
   val name : string
-
-  val instance : config -> int option
 
   val execute :
     config ->
@@ -126,45 +120,14 @@ val socket :
 (** One thread per agent, each an endpoint exchanging Codec-encoded
     frames over Unix-domain sockets through a routing fabric
     ({!Dmw_net.Fabric}) — the full wire path, kernel boundary
-    included. Each run opens a {!session}, runs one unscoped epoch on
-    it and closes it. [timeout] (default 30 s) bounds the wall-clock
-    wait for payment reports — stalled runs (a deviation aborted
-    someone) end then. Span times and fault timing count from the
-    run's own start. *)
-
-(** {2 Socket sessions}
-
-    A session keeps the socket machinery of {!socket} alive across
-    runs: one {!Dmw_net.Fabric} with [agents + 1] endpoints (the last
-    is the payment infrastructure) and one worker thread per agent
-    endpoint, each running one {!Dmw_net.Endpoint.run_session} per
-    epoch over the same connection. An epoch deals the run's agents to
-    the workers, drains the epoch's payment reports from the
-    infrastructure endpoint, then sends the
-    {!Dmw_net.Fabric.broadcast_epoch} barrier and waits until every
-    worker's endpoint session has returned. The persistent [dmw_serve]
-    service holds one session for its whole life and runs each wave as
-    one {!run} on an {!epoch} backend. *)
-
-type session
-
-val session : agents:int -> session
-(** Open a session for runs of [agents] agents. Its clock starts now:
-    span times and fault timing of every epoch count from here. *)
-
-val epoch : session -> epoch:int -> timeout:float -> backend
-(** The backend named ["serve"] that runs one epoch on the session.
-    Its agents are scoped to instance [epoch] (non-negative), so
-    frames of an earlier epoch still buffered on a connection are
-    dropped; one-shot runs stay unscoped and keep their wire bytes.
-    [timeout] bounds the payment collection and, per worker, the wait
-    at the barrier. Epochs of one session must not overlap, and each
-    run on it must have exactly [agents] agents — a re-auction among
-    fewer survivors raises [Invalid_argument]. *)
-
-val close_session : session -> unit
-(** Stop every endpoint, join the workers and close the fabric. Call
-    once, after the last epoch has returned. *)
+    included. Each run creates its own fabric and endpoint threads
+    and, once the payment reports are drained, stops the endpoints,
+    joins the threads and shuts the fabric before [run] reads any
+    agent state; nothing outlives the run. [timeout] (default 30 s)
+    bounds the wall-clock wait for payment reports — stalled runs (a
+    deviation aborted someone) end then. Span times and fault timing
+    count from the run's own start. The persistent [dmw_serve]
+    service runs each of its epochs as one such run. *)
 
 val backend_name : backend -> string
 
@@ -230,6 +193,18 @@ val run :
     task settlements observed on agent 0, every failed audit check and
     abort, and the final consensus outcome. See {!Dmw_wal} and
     {!resume}. *)
+
+val check_options :
+  batching:bool ->
+  faults:Dmw_sim.Fault.t option ->
+  retries:int ->
+  pipeline:int option ->
+  unit
+(** The argument checks {!run} makes before it does anything else:
+    raises [Invalid_argument] for negative [retries], a [pipeline]
+    depth below 1, or [faults] with [batching]. Exposed so a caller
+    can refuse a run before it opens the journal it would pass as
+    [wal] ({!Dmw_wal.create} truncates the file). *)
 
 type recovery = {
   result : result;

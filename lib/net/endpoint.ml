@@ -16,26 +16,19 @@ let insert timers e =
   in
   go timers
 
-(* Why a session can end: the fabric's control channel distinguishes a
-   full stop (empty payload — the fd will not be used again) from an
-   epoch barrier (non-empty payload — the persistent service will run
-   another wave of agents over the same connection). *)
-type outcome = [ `Stop | `Epoch_end ]
-
 let run_session ?(wrap = Fun.id) ?(on_recv = fun ~src:_ -> ()) ~fd
-    ~(agent : Agent.t) ~on_send () : outcome =
+    ~(agent : Agent.t) ~on_send () =
   let timers = ref [] in
   let seq = ref 0 in
-  let stopped = ref None in
-  let stop reason = if Option.is_none !stopped then stopped := Some reason in
+  let stopped = ref false in
   let tr =
     wrap
       { Agent.send =
           (fun ~dst ~tag ~bytes msg ->
-            if Option.is_none !stopped then begin
+            if not !stopped then begin
               on_send ~dst ~tag ~bytes;
               try Frame.write fd ~src:(Agent.id agent) ~dst (Codec.encode msg)
-              with Unix.Unix_error (_, _, _) -> stop `Stop
+              with Unix.Unix_error (_, _, _) -> stopped := true
             end);
         schedule =
           (fun ~delay fire ->
@@ -45,7 +38,7 @@ let run_session ?(wrap = Fun.id) ?(on_recv = fun ~src:_ -> ()) ~fd
                 { at = Unix.gettimeofday () +. delay; seq = !seq; fire }) }
   in
   Agent.start tr agent;
-  while Option.is_none !stopped do
+  while not !stopped do
     let now = Unix.gettimeofday () in
     match !timers with
     | { at; fire; _ } :: rest when at <= now ->
@@ -61,16 +54,9 @@ let run_session ?(wrap = Fun.id) ?(on_recv = fun ~src:_ -> ()) ~fd
         | [], _, _ -> () (* a timer came due; handled next iteration *)
         | _ -> begin
             match Frame.read fd with
-            | `Closed -> stop `Stop
+            | `Closed -> stopped := true
             | `Frame (src, _dst, payload) ->
-                if src = Fabric.stop_src then
-                  (* Control frame: an empty payload is the full stop;
-                     anything else is an epoch barrier — leave the loop
-                     without touching the fd so the next wave's agent
-                     can run over the same connection. Pending frames
-                     of the finished epoch stay buffered and are
-                     discarded by the next agent's instance filter. *)
-                  stop (if payload = "" then `Stop else `Epoch_end)
+                if src = Fabric.stop_src then stopped := true
                 else begin
                   (* Malformed payloads are dropped, exactly like the
                      agent drops malformed in-memory messages. *)
@@ -82,7 +68,6 @@ let run_session ?(wrap = Fun.id) ?(on_recv = fun ~src:_ -> ()) ~fd
                 end
           end
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | exception Unix.Unix_error (_, _, _) -> stop `Stop
+        | exception Unix.Unix_error (_, _, _) -> stopped := true
       end
-  done;
-  match !stopped with Some reason -> reason | None -> `Stop
+  done

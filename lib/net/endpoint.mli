@@ -7,12 +7,6 @@
     are decoded, and malformed ones dropped. The loop exits when a
     {!Fabric.stop_src} frame arrives or the socket closes. *)
 
-type outcome = [ `Stop | `Epoch_end ]
-(** Why a session ended: [`Stop] (empty-payload control frame, socket
-    closed, or I/O error — the connection is done) or [`Epoch_end] (a
-    non-empty control frame, {!Fabric.broadcast_epoch}: the epoch is
-    over but the connection stays up for the next one). *)
-
 val run_session :
   ?wrap:(Dmw_core.Agent.transport -> Dmw_core.Agent.transport) ->
   ?on_recv:(src:int -> unit) ->
@@ -20,14 +14,11 @@ val run_session :
   agent:Dmw_core.Agent.t ->
   on_send:(dst:int -> tag:string -> bytes:int -> unit) ->
   unit ->
-  outcome
-(** Runs Phases II–IV of [agent] over [fd] until a control frame (or
-    socket failure) ends the session, and says which kind did. On
-    [`Epoch_end] the fd is left open and drained up to the barrier:
-    the worker of a socket session in the execution harness calls
-    [run_session] again on the same fd with the next epoch's agent.
-    Frames of the finished epoch still in flight are dropped by the
-    next agent's {!Dmw_core.Messages.Scoped} instance filter.
+  unit
+(** Runs Phases II–IV of [agent] over [fd] until the stop frame, the
+    socket's close or an I/O error ends the session. The socket
+    backend of the execution harness runs one per agent, each on its
+    own thread, for one protocol run.
 
     [on_send] observes every transmitted message (for the backend's
     trace accounting) and [on_recv] (default: nothing) every

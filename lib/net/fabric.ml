@@ -90,16 +90,19 @@ let drain_frames t ~from peer =
     peer.inlen <- peer.inlen - !pos
   end
 
+(* Read into the buffer's free tail, doubling it only when a partial
+   frame fills it: every protocol run builds a fresh fabric, so the
+   buffers stay as small as the frames they carry. *)
 let read_into t ~from peer =
-  let want = 65536 in
-  if Bytes.length peer.inbuf - peer.inlen < want then begin
-    let bigger =
-      Bytes.create (max (peer.inlen + want) (2 * Bytes.length peer.inbuf))
-    in
+  if peer.inlen = Bytes.length peer.inbuf then begin
+    let bigger = Bytes.create (2 * Bytes.length peer.inbuf) in
     Bytes.blit peer.inbuf 0 bigger 0 peer.inlen;
     peer.inbuf <- bigger
   end;
-  match Unix.read peer.fd peer.inbuf peer.inlen want with
+  match
+    Unix.read peer.fd peer.inbuf peer.inlen
+      (Bytes.length peer.inbuf - peer.inlen)
+  with
   | 0 -> peer.closed <- true
   | r ->
       peer.inlen <- peer.inlen + r;
@@ -170,18 +173,6 @@ let broadcast_stop t =
         try Frame.write t.control_fd ~src:stop_src ~dst:broadcast_dst ""
         with Unix.Unix_error (_, _, _) -> ()
       end)
-
-let broadcast_epoch t ~instance =
-  if instance < 0 then invalid_arg "Fabric.broadcast_epoch: negative instance";
-  Dmw_runtime.Mutex_util.with_lock t.control_mutex (fun () ->
-      (* The barrier is a control frame with a non-empty payload, so
-         endpoints can tell it from the (empty) full stop. After the
-         stop it would only race the close — drop it. *)
-      if not t.stop_sent then
-        try
-          Frame.write t.control_fd ~src:stop_src ~dst:broadcast_dst
-            (Printf.sprintf "epoch:%d" instance)
-        with Unix.Unix_error (_, _, _) -> ())
 
 let shutdown t =
   broadcast_stop t;

@@ -7,7 +7,9 @@
     side. The router rewrites each frame's [src] to the true sender,
     so endpoints cannot spoof one another, and it never blocks
     (non-blocking switch-side sockets, per-destination output queues),
-    so endpoints are free to use plain blocking I/O. *)
+    so endpoints are free to use plain blocking I/O. The socket backend
+    of the execution harness creates one fabric per protocol run and
+    shuts it down when the run ends. *)
 
 type t
 
@@ -31,14 +33,6 @@ val broadcast_dst : int
 val broadcast_stop : t -> unit
 (** Ask the router to deliver a [stop_src] frame to every endpoint.
     Idempotent and thread-safe. *)
-
-val broadcast_epoch : t -> instance:int -> unit
-(** Deliver an {e epoch barrier} to every endpoint: a [stop_src] frame
-    with a non-empty payload naming the finished wave. Endpoints
-    running {!Endpoint.run_session} return [`Epoch_end] and keep their
-    connection; a persistent service sends one per auction wave, then
-    a final {!broadcast_stop} at shutdown. Thread-safe; a no-op after
-    the stop was sent. *)
 
 val shutdown : t -> unit
 (** [broadcast_stop], stop and join the router, close every file

@@ -28,34 +28,18 @@ let close t =
       t.closed <- true;
       Condition.broadcast t.nonempty)
 
-let pop ?timeout t =
-  let deadline = Option.map (fun d -> Unix.gettimeofday () +. d) timeout in
-  let rec attempt pause =
-    let r =
-      Mutex_util.with_lock t.mutex (fun () ->
-          let rec wait () =
-            if not (Queue.is_empty t.queue) then `Item (Queue.pop t.queue)
-            else if t.closed then `Done
-            else
-              match deadline with
-              | None ->
-                  Condition.wait t.nonempty t.mutex;
-                  wait ()
-              | Some dl -> if Unix.gettimeofday () >= dl then `Done else `Poll
-          in
-          wait ())
-    in
-    match r with
-    | `Item v -> Some v
-    | `Done -> None
-    | `Poll ->
-        (* Condition.wait has no timeout in the stdlib: poll with a
-           short sleep while the lock is released, backing off from
-           0.1 ms to 2 ms so a short wait ends promptly and a long one
-           stays cheap. *)
-        Thread.delay pause;
-        attempt (Float.min 0.002 (2.0 *. pause))
-  in
-  attempt 0.0001
+let pop t =
+  Mutex_util.with_lock t.mutex (fun () ->
+      let rec wait () =
+        if not (Queue.is_empty t.queue) then Some (Queue.pop t.queue)
+        else if t.closed then None
+        else begin
+          Condition.wait t.nonempty t.mutex;
+          wait ()
+        end
+      in
+      wait ())
+
+let try_pop t = Mutex_util.with_lock t.mutex (fun () -> Queue.take_opt t.queue)
 
 let length t = Mutex_util.with_lock t.mutex (fun () -> Queue.length t.queue)

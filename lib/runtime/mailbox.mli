@@ -1,12 +1,12 @@
 (** Thread-safe blocking mailbox (FIFO), unbounded or bounded.
 
-    A socket session hands each endpoint worker its next epoch through
-    one unbounded mailbox and collects the workers' end-of-epoch
-    acknowledgements in another. The persistent auction service
-    ([dmw_serve]) takes its jobs through a bounded one: producers
-    (client connections) offer with {!try_push} and are told [`Full]
-    when the service is saturated — the caller surfaces "busy" to its
-    client instead of buffering without bound. *)
+    The persistent auction service ([dmw_serve]) takes its jobs
+    through a bounded one: producers (client connections) offer with
+    {!try_push} and are told [`Full] when the service is saturated —
+    the caller surfaces "busy" to its client instead of buffering
+    without bound — and the dispatcher fills a wave with {!try_pop}.
+    Each front-door connection queues its replies in an unbounded
+    one. *)
 
 type 'a t
 
@@ -27,9 +27,12 @@ val close : 'a t -> unit
 (** Close the mailbox: wakes every blocked {!pop}. Consumers drain
     whatever was queued before the close, then receive [None]. *)
 
-val pop : ?timeout:float -> 'a t -> 'a option
-(** Blocks until an element is available; [None] on timeout (seconds)
-    or when the mailbox is closed and drained. Without [timeout],
-    blocks until an element arrives or the mailbox is closed. *)
+val pop : 'a t -> 'a option
+(** Blocks until an element is available; [None] once the mailbox is
+    closed and drained. *)
+
+val try_pop : 'a t -> 'a option
+(** Never blocks: the oldest element, or [None] when the mailbox is
+    empty right now. *)
 
 val length : 'a t -> int

@@ -1,11 +1,10 @@
 open Dmw_core
 open Dmw_runtime
 
-(* The persistent auction service: one long-lived Dmw_exec socket
-   session, and a dispatcher thread that batches queued jobs into
-   waves and runs each wave as one Dmw_exec.run on the session. See
-   the mli for the concurrency contract and DESIGN.md for the
-   epoch/barrier protocol. *)
+(* The persistent auction service: a dispatcher thread that batches
+   queued jobs into waves and runs each wave as one one-shot socket
+   Dmw_exec.run. See the mli for the concurrency contract and
+   DESIGN.md for the epoch protocol. *)
 
 type config = {
   n : int;
@@ -55,7 +54,6 @@ type t = {
   wal : Dmw_wal.writer option;
       (* Write-ahead journal: the writer serializes its own appends,
          so the submitter and dispatcher threads may both write. *)
-  session : Dmw_exec.session;
   queue : job Mailbox.t;
   (* race: confined owner: written by create, read by shutdown — both
      on the thread that owns the service handle. *)
@@ -134,7 +132,7 @@ let settle t r =
 
 (* One wave is one protocol run: epoch [e] of a service seeded with
    [s] is Dmw_exec.run ~seed:(s + 7919*(e-1)) over the wave's bid
-   vectors — on the service's session when live, on the simulator when
+   vectors — on the socket backend when live, on the simulator when
    recovery replays it. Wave 1 is thus bit for bit Dmw_exec.run
    ~seed:s on the same jobs; later waves re-salt with the same stride
    the one-shot runner uses between attempts. Job [j] of the wave
@@ -170,7 +168,7 @@ let run_epoch t wave =
   journal t (Dmw_wal.Epoch_start { epoch; jobs });
   let r, results =
     run_wave t.cfg ~epoch ~jobs
-      ~backend:(Dmw_exec.epoch t.session ~epoch ~timeout:t.cfg.epoch_timeout)
+      ~backend:(Dmw_exec.socket ~timeout:t.cfg.epoch_timeout ())
       (Array.map (fun job -> job.w_vector) wave)
   in
   let module Metrics = Dmw_obs.Metrics in
@@ -216,7 +214,7 @@ let wait_resumed t =
 let rec fill_wave t acc k =
   if k = 0 then List.rev acc
   else
-    match Mailbox.pop ~timeout:0.0 t.queue with
+    match Mailbox.try_pop t.queue with
     | None -> List.rev acc
     | Some job -> fill_wave t (job :: acc) (k - 1)
 
@@ -253,7 +251,6 @@ let create ?(paused = false) ?wal ?(epoch_base = 0) ?(job_base = 0) cfg =
         { cfg;
           w_max = probe.Params.w_max;
           wal;
-          session = Dmw_exec.session ~agents:cfg.n;
           queue = Mailbox.create ~capacity:cfg.queue_capacity ();
           dispatcher = None;
           smutex = Mutex.create ();
@@ -303,9 +300,6 @@ let shutdown t =
       Thread.join th;
       t.dispatcher <- None
   | None -> ());
-  (* The dispatcher waits out every epoch's barrier before returning,
-     so no epoch is running on the session any more. *)
-  Dmw_exec.close_session t.session;
   Mutex_util.with_lock t.rmutex (fun () ->
       t.stopped <- true;
       Condition.broadcast t.rcond)

@@ -1,22 +1,20 @@
 (** The persistent auction service behind the [dmw_serve] daemon.
 
-    Where a one-shot {!Dmw_exec.socket} run opens a socket session for
-    one auction and closes it, this module holds one
-    {!Dmw_exec.session} — [n] agent endpoints connected over one
-    long-lived fabric, with their worker threads — for its whole life
-    and feeds it {e waves}: jobs (one task each, with its full bid
-    vector) arrive through a bounded submission queue, and the epoch
-    dispatcher batches up to [max_wave] of them into a single [m]-task
-    protocol run. Epoch [e] is one {!Dmw_exec.run} on
-    {!Dmw_exec.epoch}: the harness deals the agents, scopes every
-    message to the epoch (a {!Dmw_core.Messages.Scoped} envelope, so
-    frames from a finished wave can never leak into the next one),
-    collects the payment reports and ends the epoch with the session's
-    barrier. This module keeps only the job queue, wave batching, the
-    front door, the [dmw_serve_*] metrics and the journal.
+    Jobs (one task each, with its full bid vector) arrive through a
+    bounded submission queue, and the epoch dispatcher batches up to
+    [max_wave] of them into a {e wave}: a single [m]-task protocol
+    run. Epoch [e] is one {!Dmw_exec.run} on
+    [Dmw_exec.socket ~timeout:epoch_timeout ()], the one-shot socket
+    harness at the epoch seed: it opens a fabric with [n] agent
+    endpoints and their threads, collects the payment reports, and
+    stops and closes all of it before the epoch's results are
+    published — so nothing of one wave can reach the next, and the
+    service holds no endpoint between waves. This module keeps only
+    the job queue, wave batching, the front door, the [dmw_serve_*]
+    metrics and the journal.
 
-    Concurrency shape: the session's [n] endpoint workers plus one
-    dispatcher thread that collects waves, runs each one, and
+    Concurrency shape: one dispatcher thread that collects waves, runs
+    each one (with the run's [n] endpoint threads while it lasts), and
     publishes per-job results. Client-facing threads only touch
     {!submit}, {!await} and {!stats}, all of which are thread-safe. *)
 
@@ -65,8 +63,7 @@ val create :
   ?job_base:int ->
   config ->
   t
-(** Open the socket session ([n] agent endpoints and their workers)
-    and start the dispatcher. [paused] (default [false]) holds the
+(** Start the dispatcher. [paused] (default [false]) holds the
     dispatcher back until {!resume} — how tests submit a full wave
     deterministically before any epoch starts. Raises [Invalid_argument] when the
     population parameters do not validate.
@@ -87,9 +84,8 @@ val resume : t -> unit
 (** Release a [create ~paused:true] dispatcher. Idempotent. *)
 
 val shutdown : t -> unit
-(** Drain: stop accepting jobs, run every queued job to completion,
-    then close the session — the final stop down the fabric, every
-    thread joined and every descriptor closed. Blocks until done; {!await} callers still
+(** Drain: stop accepting jobs, run every queued job to completion
+    and join the dispatcher. Blocks until done; {!await} callers still
     waiting afterwards receive [None]. *)
 
 (** {1 Jobs} *)

@@ -133,6 +133,14 @@ let test_unknown_tag_rejected () =
   | Ok _ -> Alcotest.fail "bogus tag accepted"
   | Error e -> Alcotest.(check string) "reason" "unknown tag" e
 
+(* Tag 9 was the scoped envelope of the retired persistent socket
+   session; a frame in that old layout — tag 9, a 32-bit instance, then
+   a bare payment report — is now just an unknown tag. *)
+let test_retired_scoped_tag_rejected () =
+  match Codec.decode "\x09\x00\x00\x00\x01\x06\x00\x00" with
+  | Ok _ -> Alcotest.fail "retired tag 9 accepted"
+  | Error e -> Alcotest.(check string) "reason" "unknown tag" e
+
 let test_hostile_length_prefix_rejected () =
   (* A share message claiming a 65535-byte bigint. *)
   let s = "\x01\x00\x00\xff\xff" in
@@ -223,6 +231,8 @@ let () =
        [ Alcotest.test_case "truncation" `Quick test_truncation_rejected;
          Alcotest.test_case "trailing garbage" `Quick test_trailing_garbage_rejected;
          Alcotest.test_case "unknown tag" `Quick test_unknown_tag_rejected;
+         Alcotest.test_case "retired tag 9" `Quick
+           test_retired_scoped_tag_rejected;
          Alcotest.test_case "hostile length" `Quick test_hostile_length_prefix_rejected;
          Alcotest.test_case "nested batch" `Quick test_nested_batch_rejected;
          Alcotest.test_case "empty input" `Quick test_empty_input;

@@ -537,6 +537,32 @@ let test_golden_vectors () =
                     rc.Dmw_serve_core.results)))
     [ (vector1, `Run 2); (vector2, `Run 2); (vector3, `Serve 4) ]
 
+(* A run the CLI refuses must leave an existing journal alone: the
+   refusal has to come before the journal is opened, because opening
+   it truncates the file. Runs the built dmw_cli. *)
+let test_refused_run_keeps_journal () =
+  let path = Filename.temp_file "dmw_refused" ".wal" in
+  let cli flags =
+    Sys.command
+      (Printf.sprintf
+         "../bin/dmw_cli.exe run -q -n 5 -m 1 --seed 3 --wal %s %s \
+          >/dev/null 2>&1"
+         (Filename.quote path) flags)
+  in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Alcotest.(check int) "journaled run exits 0" 0 (cli "");
+      let journal = read_file path in
+      Alcotest.(check bool) "journal holds records" true
+        (String.length journal > magic_len);
+      List.iter
+        (fun flags ->
+          Alcotest.(check int) (flags ^ " is refused") 2 (cli flags);
+          Alcotest.(check bool) (flags ^ " keeps the journal") true
+            (String.equal journal (read_file path)))
+        [ "--batching --faults drop=0.1"; "--pipeline 0"; "--retries=-1" ])
+
 let () =
   Alcotest.run "crash_resume"
     [ ( "one-shot",
@@ -547,7 +573,9 @@ let () =
           Alcotest.test_case "kill across a re-auction" `Quick
             test_kill_across_reauction;
           Alcotest.test_case "corrupted journals are refused" `Quick
-            test_resume_rejects_corruption ] );
+            test_resume_rejects_corruption;
+          Alcotest.test_case "a refused run keeps the journal" `Quick
+            test_refused_run_keeps_journal ] );
       ( "serve",
         [ Alcotest.test_case "kill at every epoch-journal boundary" `Quick
             test_serve_kill_at_every_boundary;

@@ -1,5 +1,5 @@
-(* The concurrent building block Mailbox: FIFO order, timed pops,
-   cross-thread wake-ups and close-and-drain shutdown. *)
+(* The concurrent building block Mailbox: FIFO order, non-blocking
+   pops, cross-thread wake-ups and close-and-drain shutdown. *)
 
 module Mailbox = Dmw_runtime.Mailbox
 
@@ -10,8 +10,8 @@ let test_mailbox_basics () =
   Alcotest.(check int) "length" 2 (Mailbox.length box);
   Alcotest.(check (option int)) "fifo 1" (Some 1) (Mailbox.pop box);
   Alcotest.(check (option int)) "fifo 2" (Some 2) (Mailbox.pop box);
-  Alcotest.(check (option int)) "timeout empty" None
-    (Mailbox.pop ~timeout:0.02 box)
+  Alcotest.(check (option int)) "try_pop empty" None
+    (Mailbox.try_pop box)
 
 let test_mailbox_cross_thread () =
   let box = Mailbox.create () in
@@ -24,7 +24,7 @@ let test_mailbox_cross_thread () =
   in
   (* Blocking pop must wake when the producer pushes. *)
   Alcotest.(check (option int)) "received" (Some 42)
-    (Mailbox.pop ~timeout:2.0 box);
+    (Mailbox.pop box);
   Thread.join producer
 
 let test_mailbox_close_drains_then_stops () =

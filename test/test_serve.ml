@@ -4,7 +4,7 @@
    The smoke contract mirrors the daemon's real lifecycle — start,
    submit a handful of jobs, check the results against the one-shot
    harness, prove the auctions actually overlapped via the span trace,
-   run a second epoch over the same connections, and shut down
+   run a second epoch on the same service, and shut down
    cleanly. Everything runs in-process: the front door is exercised
    over a real Unix-domain socket but against an in-process service,
    so no subprocess management is needed. *)
@@ -88,7 +88,7 @@ let test_service_waves () =
     List.filter
       (fun s ->
         s.Dmw_obs.Span.name = "task auction"
-        && List.assoc_opt "backend" s.Dmw_obs.Span.attrs = Some "serve")
+        && List.assoc_opt "backend" s.Dmw_obs.Span.attrs = Some "socket")
       (Dmw_obs.Span.completed ())
   in
   Alcotest.(check int) "three auction spans" 3 (List.length serve_auctions);
@@ -120,7 +120,7 @@ let test_service_waves () =
           | None -> Alcotest.fail "job lost its outcome")
         results
   | _ -> Alcotest.fail "reference run failed");
-  (* A second epoch reuses the same agent connections. *)
+  (* A second wave on the same service is epoch 2... *)
   let id2 = submit_ok t [| 1; 1; 2; 2; 3 |] in
   let r2 = await_ok t id2 in
   Alcotest.(check int) "second wave is epoch 2" 2 r2.Serve.epoch;
@@ -245,12 +245,34 @@ let test_client_hangs_up () =
   Serve.Front.stop front;
   Serve.shutdown t
 
+(* Every epoch opens and closes its own fabric, so a descriptor leak
+   there would only show in a long-running service: the count must not
+   move across 40 one-job waves, and shutdown must return it to where
+   it was before the service existed. *)
+let test_no_descriptors_between_waves () =
+  let fd_dir = "/proc/self/fd" in
+  if not (Sys.file_exists fd_dir) then Alcotest.skip ();
+  let open_fds () = Array.length (Sys.readdir fd_dir) in
+  let before = open_fds () in
+  let t = Serve.create (Serve.config ~group_bits:16 ~seed:5 ~n:5 ~c:1 ()) in
+  let after_create = open_fds () in
+  for _ = 1 to 40 do
+    ignore (await_ok t (submit_ok t [| 1; 2; 3; 1; 2 |]) : Serve.job_result)
+  done;
+  Alcotest.(check int) "40 epochs" 40 (Serve.stats t).Serve.epochs;
+  Alcotest.(check int) "descriptors after the last wave" after_create
+    (open_fds ());
+  Serve.shutdown t;
+  Alcotest.(check int) "descriptors after shutdown" before (open_fds ())
+
 let () =
   Alcotest.run "dmw_serve"
     [ ("queue", [ Alcotest.test_case "backpressure" `Quick test_bounded_queue ]);
       ("service",
        [ Alcotest.test_case "waves, spans and reproducibility" `Slow
            test_service_waves;
+         Alcotest.test_case "no descriptors held between waves" `Slow
+           test_no_descriptors_between_waves;
          Alcotest.test_case "front door protocol" `Slow test_front_door;
          Alcotest.test_case "client hangs up before its reply" `Slow
            test_client_hangs_up ]) ]

@@ -76,17 +76,13 @@ let sanitizer (_, v) =
       "ignore"; "="; "<>"; "<"; ">"; "<="; ">="; "&&"; "||" ]
   || Fs.has_prefix "is_" v
 
-(* Determinism-critical sinks. [Fabric.broadcast_epoch] is deliberately
-   not a sink — it carries only the epoch barrier, and the epoch
-   counter is plain counting. *)
+(* Determinism-critical sinks. *)
 let sink_fn (m, v) =
   match (m, v) with
   | "Schedule", "create" -> Some ("D-consensus", "Schedule.create")
   | "Frame", "write" -> Some ("D-wire", "Frame.write")
   | "Codec", "encode" -> Some ("D-wire", "Codec.encode")
-  | "Engine", ("send" | "publish") -> Some ("D-wire", "Engine." ^ v)
-  | ("Fabric" | "Endpoint"), ("send" | "publish" | "post") ->
-      Some ("D-wire", m ^ "." ^ v)
+  | "Engine", "send" -> Some ("D-wire", "Engine.send")
   | "Audit", "log" -> Some ("D-audit", "Audit.log")
   | "Dmw_wal", "append" -> Some ("D-wal", "Dmw_wal.append")
   | "Prng", "create" -> Some ("D-seed", "the Prng.create seed")

@@ -32,11 +32,7 @@
       [Dmw_exec.result]/[Dmw_exec.info] records, the consensus
       signature's carriers.
     - [D-wire] — [Frame.write], [Messages.Codec.encode],
-      [Engine.send]/[publish], [Fabric]/[Endpoint] transmit calls, and
-      construction of any [Messages.t] value. ([Fabric.broadcast_epoch]
-      is deliberately not a sink: it carries only the epoch-barrier
-      counter, and the serve handle threaded into it legitimately holds
-      wall-clock fields for deadline accounting.)
+      [Engine.send], and construction of any [Messages.t] value.
     - [D-audit] — [Audit.log]: the typed audit record must replay.
     - [D-seed] — the seeds handed to [Prng.create] and
       [Fault.instantiate]: derivation must be arithmetic on

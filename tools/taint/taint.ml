@@ -110,9 +110,7 @@ let sanitizer (_, v) =
 let sink_fn (m, v) =
   match (m, v) with
   | "Frame", "write" -> Some ("T-wire", "Frame.write")
-  | "Engine", ("send" | "publish") -> Some ("T-wire", "Engine." ^ v)
-  | ("Fabric" | "Endpoint"), ("send" | "publish" | "post" | "write") ->
-      Some ("T-wire", m ^ "." ^ v)
+  | "Engine", "send" -> Some ("T-wire", "Engine.send")
   | "Trace", "record" -> Some ("T-trace", "Trace.record")
   | "Audit", "log" -> Some ("T-trace", "Audit.log")
   (* Observability is an export surface: metric values, labels and

@@ -25,8 +25,7 @@
 
     {b Sinks} (where secrets must not arrive raw):
     - [T-msg] — applying a [Messages.t] constructor;
-    - [T-wire] — [Frame.write], [Engine.send]/[publish],
-      [Fabric]/[Endpoint] writes;
+    - [T-wire] — [Frame.write] and [Engine.send];
     - [T-trace] — [Trace.record], [Audit.log], building a
       [Transcript.t];
     - [T-log] — [Printf]/[Format] printing (including [fprintf] to a
