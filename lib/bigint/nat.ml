@@ -115,9 +115,9 @@ let mul_int a k =
     normalize r
   end
 
-let mul_schoolbook a b =
-  let la = Array.length a and lb = Array.length b in
-  let r = Array.make (la + lb) 0 in
+(* [r.(0 .. la+lb-1) += a.(0 .. la-1) * b.(0 .. lb-1)], schoolbook;
+   [r] must be zero there on entry. *)
+let mul_into r a la b lb =
   for i = 0 to la - 1 do
     let ai = a.(i) in
     if ai <> 0 then begin
@@ -139,7 +139,12 @@ let mul_schoolbook a b =
         incr k
       done
     end
-  done;
+  done
+
+let mul_schoolbook a b =
+  let la = Array.length a and lb = Array.length b in
+  let r = Array.make (la + lb) 0 in
+  mul_into r a la b lb;
   normalize r
 
 let karatsuba_threshold = 32
@@ -174,6 +179,26 @@ let rec mul a b =
     add z0 (add (shift_limbs z1 k) (shift_limbs z2 (2 * k)))
   end
 
+(* Store [src.(0 .. len-1) lsl s] (0 <= s < base_bits) at
+   [dst.(off ..)]; returns the bits shifted out of the top limb. *)
+let shl_into dst off src len s =
+  let carry = ref 0 in
+  for i = 0 to len - 1 do
+    let v = (src.(i) lsl s) lor !carry in
+    dst.(off + i) <- v land mask;
+    carry := v lsr base_bits
+  done;
+  !carry
+
+(* [u.(0 .. len-1) <- u.(0 .. len-1) lsr s] for 0 <= s < base_bits. *)
+let shr_in_place u len s =
+  for i = 0 to len - 1 do
+    let hi =
+      if i + 1 < len then (u.(i + 1) lsl (base_bits - s)) land mask else 0
+    in
+    u.(i) <- (u.(i) lsr s) lor hi
+  done
+
 let shift_left a n =
   if n < 0 then invalid_arg "Nat.shift_left: negative";
   if is_zero a || n = 0 then a
@@ -181,16 +206,7 @@ let shift_left a n =
     let limbs = n / base_bits and bits = n mod base_bits in
     let la = Array.length a in
     let r = Array.make (la + limbs + 1) 0 in
-    if bits = 0 then Array.blit a 0 r limbs la
-    else begin
-      let carry = ref 0 in
-      for i = 0 to la - 1 do
-        let v = (a.(i) lsl bits) lor !carry in
-        r.(i + limbs) <- v land mask;
-        carry := v lsr base_bits
-      done;
-      r.(la + limbs) <- !carry
-    end;
+    r.(la + limbs) <- shl_into r limbs a la bits;
     normalize r
   end
 
@@ -202,20 +218,8 @@ let shift_right a n =
     let la = Array.length a in
     if limbs >= la then zero
     else begin
-      let lr = la - limbs in
-      let r = Array.make lr 0 in
-      if bits = 0 then Array.blit a limbs r 0 lr
-      else begin
-        for i = 0 to lr - 1 do
-          let lo = a.(i + limbs) lsr bits in
-          let hi =
-            if i + limbs + 1 < la then
-              (a.(i + limbs + 1) lsl (base_bits - bits)) land mask
-            else 0
-          in
-          r.(i) <- lo lor hi
-        done
-      end;
+      let r = Array.sub a limbs (la - limbs) in
+      shr_in_place r (la - limbs) bits;
       normalize r
     end
   end
@@ -250,73 +254,94 @@ let divmod_int a k =
     (normalize q, !r)
   end
 
-(* Knuth TAOCP vol. 2, Algorithm 4.3.1 D.  [a] and [b] are normalized;
-   requires [Array.length b >= 2] (single-limb divisors take the fast
-   path) and [a >= b]. *)
-let divmod_knuth a b =
-  let shift = base_bits - bits_of_limb b.(Array.length b - 1) in
-  let u0 = shift_left a shift and v = shift_left b shift in
-  let n = Array.length v in
-  (* Dividend buffer with one extra high limb. *)
-  let lu = Array.length u0 in
-  let u = Array.make (lu + 1) 0 in
-  Array.blit u0 0 u 0 lu;
-  let m = lu - n in
-  if m < 0 then (zero, a)
-  else begin
-    let q = Array.make (m + 1) 0 in
-    let vh = v.(n - 1) and vl = v.(n - 2) in
-    for j = m downto 0 do
-      let top = (u.(j + n) lsl base_bits) lor u.(j + n - 1) in
-      let qhat = ref (top / vh) and rhat = ref (top mod vh) in
-      if !qhat >= base then begin
-        (* qhat can exceed base-1 by at most 1 when u(j+n) = vh. *)
-        let excess = !qhat - (base - 1) in
-        qhat := base - 1;
-        rhat := !rhat + (excess * vh)
-      end;
-      let continue = ref true in
-      while !continue && !rhat < base do
-        if !qhat * vl > (!rhat lsl base_bits) lor u.(j + n - 2) then begin
-          decr qhat;
-          rhat := !rhat + vh
-        end
-        else continue := false
-      done;
-      (* Multiply and subtract: u[j..j+n] -= qhat * v. *)
-      let borrow = ref 0 and carry = ref 0 in
-      for i = 0 to n - 1 do
-        let p = (!qhat * v.(i)) + !carry in
-        carry := p lsr base_bits;
-        let d = u.(i + j) - (p land mask) - !borrow in
-        if d < 0 then begin
-          u.(i + j) <- d + base;
-          borrow := 1
-        end
-        else begin
-          u.(i + j) <- d;
-          borrow := 0
-        end
-      done;
-      let d = u.(j + n) - !carry - !borrow in
-      if d < 0 then begin
-        (* qhat was one too large: add back. *)
-        u.(j + n) <- d + base;
+(* Knuth TAOCP vol. 2, Algorithm 4.3.1 D, steps D2-D7, in place. [v]
+   is an [n]-limb divisor ([n >= 2]) shifted so that its top bit is
+   set; [u.(0 .. l+n)] holds an [(l+n)]-limb dividend shifted by the
+   same amount, its top limb [u.(l+n)] taking the bits shifted out.
+   Leaves the shifted remainder in [u.(0 .. n-1)] with zeros above it,
+   and stores quotient digit [j] in [q.(j)] when [q] has that index
+   (pass [[||]] for the remainder alone). *)
+let knuth_loop u l v n q =
+  let vh = v.(n - 1) and vl = v.(n - 2) in
+  for j = l downto 0 do
+    let top = (u.(j + n) lsl base_bits) lor u.(j + n - 1) in
+    let qhat = ref (top / vh) and rhat = ref (top mod vh) in
+    if !qhat >= base then begin
+      (* qhat can exceed base-1 by at most 1 when u(j+n) = vh. *)
+      let excess = !qhat - (base - 1) in
+      qhat := base - 1;
+      rhat := !rhat + (excess * vh)
+    end;
+    let continue = ref true in
+    while !continue && !rhat < base do
+      if !qhat * vl > (!rhat lsl base_bits) lor u.(j + n - 2) then begin
         decr qhat;
-        let c = ref 0 in
-        for i = 0 to n - 1 do
-          let s = u.(i + j) + v.(i) + !c in
-          u.(i + j) <- s land mask;
-          c := s lsr base_bits
-        done;
-        u.(j + n) <- (u.(j + n) + !c) land mask
+        rhat := !rhat + vh
       end
-      else u.(j + n) <- d;
-      q.(j) <- !qhat
+      else continue := false
     done;
-    let r = normalize (Array.sub u 0 n) in
-    (normalize q, shift_right r shift)
-  end
+    (* Multiply and subtract: u[j..j+n] -= qhat * v. *)
+    let borrow = ref 0 and carry = ref 0 in
+    for i = 0 to n - 1 do
+      let p = (!qhat * v.(i)) + !carry in
+      carry := p lsr base_bits;
+      let d = u.(i + j) - (p land mask) - !borrow in
+      if d < 0 then begin
+        u.(i + j) <- d + base;
+        borrow := 1
+      end
+      else begin
+        u.(i + j) <- d;
+        borrow := 0
+      end
+    done;
+    let d = u.(j + n) - !carry - !borrow in
+    if d < 0 then begin
+      (* qhat was one too large: add back. *)
+      u.(j + n) <- d + base;
+      decr qhat;
+      let c = ref 0 in
+      for i = 0 to n - 1 do
+        let s = u.(i + j) + v.(i) + !c in
+        u.(i + j) <- s land mask;
+        c := s lsr base_bits
+      done;
+      u.(j + n) <- (u.(j + n) + !c) land mask
+    end
+    else u.(j + n) <- d;
+    if j < Array.length q then q.(j) <- !qhat
+  done
+
+(* The shift that sets the top bit of a normalized divisor's top limb,
+   and the divisor shifted by it. *)
+let norm_shift b = base_bits - bits_of_limb b.(Array.length b - 1)
+
+let shifted b s =
+  let n = Array.length b in
+  let v = Array.make n 0 in
+  ignore (shl_into v 0 b n s : int);
+  v
+
+(* Normalized copy of [u.(0 .. n-1)]. *)
+let prefix u n =
+  let n = ref n in
+  while !n > 0 && u.(!n - 1) = 0 do
+    decr n
+  done;
+  Array.sub u 0 !n
+
+(* [a] and [b] are normalized, [Array.length b >= 2] (single-limb
+   divisors take the fast path) and [a >= b]. *)
+let divmod_knuth a b =
+  let n = Array.length b and la = Array.length a in
+  let s = norm_shift b in
+  let v = shifted b s in
+  let u = Array.make (la + 1) 0 in
+  u.(la) <- shl_into u 0 a la s;
+  let q = Array.make (la - n + 1) 0 in
+  knuth_loop u (la - n) v n q;
+  shr_in_place u n s;
+  (normalize q, prefix u n)
 
 let divmod a b =
   if is_zero b then raise Division_by_zero;
@@ -326,6 +351,188 @@ let divmod a b =
     (q, of_int r)
   end
   else divmod_knuth a b
+
+(* ------------------------------------------------------------------ *)
+(* Fixed-width modular kernels                                        *)
+
+(* The buffers below hold [k] limbs, zero-padded, where [k] is the
+   modulus's limb count. Each call allocates its own: [Bigint.to_nat]
+   hands out an operand's own limbs, which must never be written, and
+   socket agents run these kernels from their own threads. *)
+
+let check_operand name m a =
+  if compare a m >= 0 then invalid_arg (name ^ ": operand not below the modulus")
+
+let mod_mul m a b =
+  let k = Array.length m in
+  if k = 0 then raise Division_by_zero;
+  check_operand "Nat.mod_mul" m a;
+  check_operand "Nat.mod_mul" m b;
+  if is_zero a || is_zero b then zero
+  else if k = 1 then of_int ((a.(0) * b.(0)) mod m.(0))
+  else begin
+    (* The product of two operands below m fits in 2k limbs; shifted
+       by Algorithm D's normalization, its top bits go to the spare limb. *)
+    let s = norm_shift m in
+    let la = Array.length a and lb = Array.length b in
+    let u = Array.make ((2 * k) + 1) 0 in
+    mul_into u a la b lb;
+    u.(la + lb) <- shl_into u 0 u (la + lb) s;
+    knuth_loop u k (shifted m s) k [||];
+    shr_in_place u k s;
+    prefix u k
+  end
+
+(* [r <- a - b] over [k] limbs, returning the borrow out; [r] may alias
+   either operand. *)
+let sub_k r a b k =
+  let borrow = ref 0 in
+  for i = 0 to k - 1 do
+    let d = a.(i) - b.(i) - !borrow in
+    r.(i) <- d land mask;
+    borrow := (d asr base_bits) land 1
+  done;
+  !borrow
+
+(* [r <- a + b] over [k] limbs, returning the carry out. *)
+let add_k r a b k =
+  let carry = ref 0 in
+  for i = 0 to k - 1 do
+    let s = a.(i) + b.(i) + !carry in
+    r.(i) <- s land mask;
+    carry := s lsr base_bits
+  done;
+  !carry
+
+(* [a >= b] over [k] limbs, from the top: a top-level function, since a
+   local closure over [a] and [b] would allocate on every call. *)
+let rec geq_from a b i =
+  i < 0 || a.(i) > b.(i) || (a.(i) = b.(i) && geq_from a b (i - 1))
+
+let geq_k a b k = geq_from a b (k - 1)
+
+let rec zero_from u i k = i >= k || (u.(i) = 0 && zero_from u (i + 1) k)
+
+(* Montgomery multiplication, CIOS (Koc, Acar and Kaliski, "Analyzing
+   and comparing Montgomery multiplication algorithms", 1996) with the
+   multiply and reduce passes fused: [r <- a b 2^(-30k) mod m] for
+   [a, b < m] and odd [m], where [minv = -m^-1 mod 2^30] and [t] is
+   (k+1)-limb scratch. Each outer step adds [a b_i] and the multiple of
+   [m] that clears the low limb, and drops that limb: every sum below
+   stays under 2^62, and [t < 2m] after every step. [r] may alias [a]
+   or [b]. *)
+let mont_mul r a b m minv k t =
+  Array.fill t 0 (k + 1) 0;
+  for i = 0 to k - 1 do
+    let bi = b.(i) in
+    let x = t.(0) + (a.(0) * bi) in
+    let q = ((x land mask) * minv) land mask in
+    let c = ref ((x + (q * m.(0))) lsr base_bits) in
+    for j = 1 to k - 1 do
+      let s = t.(j) + (a.(j) * bi) + (q * m.(j)) + !c in
+      t.(j - 1) <- s land mask;
+      c := s lsr base_bits
+    done;
+    let s = t.(k) + !c in
+    t.(k - 1) <- s land mask;
+    t.(k) <- s lsr base_bits
+  done;
+  if t.(k) <> 0 || geq_k t m k then ignore (sub_k r t m k : int)
+  else Array.blit t 0 r 0 k
+
+(* [-m0^-1 mod 2^30] for odd [m0] by Newton iteration: [x = m0] is an
+   inverse to 3 bits, and each step [x <- x (2 - m0 x)] doubles that. *)
+let neg_inv_limb m0 =
+  let x = ref m0 in
+  for _ = 1 to 4 do
+    x := (!x * (2 - ((m0 * !x) land mask))) land mask
+  done;
+  (- !x) land mask
+
+let check_odd name m =
+  if Array.length m = 0 || m.(0) land 1 = 0 then
+    invalid_arg (name ^ ": even modulus")
+
+(* [x 2^(30k) mod m] for [x < m], by one Algorithm D remainder in
+   place: the low k limbs of the result are the value, and the limbs
+   above them are zero. *)
+let to_mont m k x =
+  if k = 1 then [| (if is_zero x then 0 else (x.(0) lsl base_bits) mod m.(0)) |]
+  else begin
+    let s = norm_shift m in
+    let u = Array.make ((2 * k) + 1) 0 in
+    let lx = Array.length x in
+    u.(k + lx) <- shl_into u k x lx s;
+    knuth_loop u k (shifted m s) k [||];
+    shr_in_place u k s;
+    u
+  end
+
+let mod_pow ~on_mul m b e =
+  check_odd "Nat.mod_pow" m;
+  check_operand "Nat.mod_pow" m b;
+  let k = Array.length m in
+  let minv = neg_inv_limb m.(0) and t = Array.make (k + 1) 0 in
+  let bm = to_mont m k b and acc = to_mont m k one in
+  (* Left-to-right square-and-multiply, from acc = 1. *)
+  for i = num_bits e - 1 downto 0 do
+    on_mul ();
+    mont_mul acc acc acc m minv k t;
+    if (e.(i / base_bits) lsr (i mod base_bits)) land 1 = 1 then begin
+      on_mul ();
+      mont_mul acc acc bm m minv k t
+    end
+  done;
+  (* Leave Montgomery form: one more product, by 1. *)
+  Array.fill bm 0 k 0;
+  bm.(0) <- 1;
+  mont_mul acc acc bm m minv k t;
+  normalize acc
+
+(* [x <- x / 2 mod m] for odd [m] and [x < m]: [x + m] is even when [x]
+   is odd, and its carry out becomes the top bit of the half. *)
+let halve_mod x m k =
+  let top = if x.(0) land 1 = 0 then 0 else add_k x x m k in
+  for i = 0 to k - 2 do
+    x.(i) <- (x.(i) lsr 1) lor ((x.(i + 1) land 1) lsl (base_bits - 1))
+  done;
+  x.(k - 1) <- (x.(k - 1) lsr 1) lor (top lsl (base_bits - 1))
+
+(* [x <- x - y mod m] for [x, y < m]. *)
+let sub_mod x y m k = if sub_k x x y k = 1 then ignore (add_k x x m k : int)
+
+(* Binary extended gcd (Knuth TAOCP vol. 2, 4.5.2, Algorithm B with
+   cofactors). Invariants: u = a x1 and v = a x2 (mod m), and
+   gcd(u, v) = gcd(a, m), which is odd, so halving u or v keeps it. *)
+let mod_inv m a =
+  check_odd "Nat.mod_inv" m;
+  check_operand "Nat.mod_inv" m a;
+  let k = Array.length m in
+  let u = Array.make k 0 and v = Array.copy m in
+  let x1 = Array.make k 0 and x2 = Array.make k 0 in
+  Array.blit a 0 u 0 (Array.length a);
+  x1.(0) <- 1;
+  while not (zero_from u 0 k) do
+    (* u and v are even here, so halving them mod m is a plain shift. *)
+    while u.(0) land 1 = 0 do
+      halve_mod u m k;
+      halve_mod x1 m k
+    done;
+    while v.(0) land 1 = 0 do
+      halve_mod v m k;
+      halve_mod x2 m k
+    done;
+    if geq_k u v k then begin
+      ignore (sub_k u u v k : int);
+      sub_mod x1 x2 m k
+    end
+    else begin
+      ignore (sub_k v v u k : int);
+      sub_mod x2 x1 m k
+    end
+  done;
+  (* u = 0 leaves v = gcd(a, m). *)
+  if v.(0) = 1 && zero_from v 1 k then Some (normalize x2) else None
 
 (* Decimal I/O works in chunks of 10^9 (a single limb). *)
 let decimal_chunk = 1_000_000_000

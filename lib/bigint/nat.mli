@@ -3,8 +3,10 @@
     Numbers are stored little-endian in base [2^30] with no trailing
     (most-significant) zero limbs; zero is the empty array. All
     functions return normalized values and never mutate their
-    arguments. This module is the unsigned kernel used by {!Bigint};
-    prefer {!Bigint} in application code. *)
+    arguments. This module is the unsigned kernel used by {!Bigint},
+    and owns the limb loops: schoolbook and Karatsuba products, Knuth's
+    Algorithm D, and the fixed-width modular kernels below. Prefer
+    {!Bigint} in application code. *)
 
 type t
 
@@ -53,6 +55,36 @@ val add_int : t -> int -> t
 
 val divmod_int : t -> int -> t * int
 (** Single-limb division: [divmod_int a k] for [0 < k < 2^30]. *)
+
+(** {1 Fixed-width modular kernels}
+
+    The operations under [Zmod.mul], [Zmod.pow] and [Zmod.inv]: each
+    works on [k]-limb buffers, [k] the modulus's limb count, that it
+    allocates for the call alone. None writes into its arguments' limbs
+    or keeps state between calls, so threads may call them
+    concurrently. Operands must be below the modulus: each raises
+    [Invalid_argument] otherwise. *)
+
+val mod_mul : t -> t -> t -> t
+(** [mod_mul m a b] is [a * b mod m]: the schoolbook product reduced by
+    the remainder steps of {!divmod}'s Algorithm D, in 2k + 1 limbs of
+    scratch. @raise Division_by_zero if [m] is zero. *)
+
+val mod_pow : on_mul:(unit -> unit) -> t -> t -> t -> t
+(** [mod_pow ~on_mul m b e] is [b^e mod m] for odd [m], by left-to-right
+    square-and-multiply from 1 in Montgomery form: CIOS products over
+    30-bit limbs, with [-m^-1 mod 2^30] by Newton iteration. [b] and 1
+    enter Montgomery form by one remainder each, and the result leaves
+    it by one product with 1. [on_mul] is called before each squaring
+    and each multiplication of the schedule, [num_bits e + popcount e]
+    times in all. [e = 0] gives [1 mod m].
+    @raise Invalid_argument if [m] is even. *)
+
+val mod_inv : t -> t -> t option
+(** [mod_inv m a] is [Some x] with [a * x = 1 mod m] for odd [m], or
+    [None] when gcd(a, m) <> 1, by the binary extended gcd.
+    [mod_inv one zero = Some zero].
+    @raise Invalid_argument if [m] is even. *)
 
 val shift_left : t -> int -> t
 val shift_right : t -> int -> t

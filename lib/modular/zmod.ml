@@ -24,17 +24,29 @@ let check_modulus m =
   if Bigint.compare m Bigint.zero <= 0 then
     invalid_arg "Zmod: modulus must be positive"
 
+(* A value within one modulus of [0, m) -- a sum or difference of
+   canonical operands -- needs one addition or subtraction, not a
+   division. *)
 let normalize m a =
   check_modulus m;
-  Bigint.erem a m
+  if Bigint.sign a < 0 then
+    let b = Bigint.add a m in
+    if Bigint.sign b >= 0 then b else Bigint.erem a m
+  else if Bigint.compare a m < 0 then a
+  else
+    let b = Bigint.sub a m in
+    if Bigint.compare b m < 0 then b else Bigint.erem a m
 
 let add m a b = normalize m (Bigint.add a b)
 let sub m a b = normalize m (Bigint.sub a b)
 let neg m a = normalize m (Bigint.neg a)
 
+let nat = Bigint.to_nat
+
 let mul m a b =
   Counters.bump_mul ();
-  normalize m (Bigint.mul a b)
+  let a = normalize m a and b = normalize m b in
+  Bigint.of_nat (Nat.mod_mul (nat m) (nat a) (nat b))
 
 let sqr m a = mul m a a
 
@@ -56,25 +68,26 @@ let gcd a b =
   g
 
 let inv m a =
-  check_modulus m;
-  let a = Bigint.erem a m in
-  let g, x, _ = egcd a m in
-  if not (Bigint.equal g Bigint.one) then raise Not_found;
-  Bigint.erem x m
+  let a = normalize m a in
+  if Bigint.is_even m then begin
+    let g, x, _ = egcd a m in
+    if not (Bigint.equal g Bigint.one) then raise Not_found;
+    Bigint.erem x m
+  end
+  else
+    match Nat.mod_inv (nat m) (nat a) with
+    | Some x -> Bigint.of_nat x
+    | None -> raise Not_found
 
 let rec pow m b e =
   check_modulus m;
+  if Bigint.is_even m then invalid_arg "Zmod.pow: even modulus";
   if Bigint.sign e < 0 then pow m (inv m b) (Bigint.neg e)
   else begin
     Counters.bump_pow ();
-    let b = Bigint.erem b m in
-    (* Left-to-right binary exponentiation. *)
-    let acc = ref Bigint.one in
-    for i = Bigint.num_bits e - 1 downto 0 do
-      acc := mul m !acc !acc;
-      if Bigint.testbit e i then acc := mul m !acc b
-    done;
-    !acc
+    Bigint.of_nat
+      (Nat.mod_pow ~on_mul:Counters.bump_mul (nat m) (nat (normalize m b))
+         (nat e))
   end
 
 let div m a b = mul m a (inv m b)

@@ -32,9 +32,13 @@ type t = {
   mutable stop_sent : bool;
 }
 
+(* Read buffers start at 512 bytes, small enough for the minor heap:
+   every protocol run builds a fresh fabric, and a buffer above 256
+   words would go straight to the major heap. [read_into] doubles a
+   buffer that a partial frame fills. *)
 let make_peer fd =
   Unix.set_nonblock fd;
-  { fd; inbuf = Bytes.create 4096; inlen = 0; outq = Queue.create ();
+  { fd; inbuf = Bytes.create 512; inlen = 0; outq = Queue.create ();
     closed = false }
 
 let enqueue peer frame =

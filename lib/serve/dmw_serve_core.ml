@@ -61,10 +61,13 @@ type t = {
   (* Submission side. *)
   smutex : Mutex.t;
   mutable next_job : int;
-  (* Result side: published under rmutex, watched through rcond. *)
+  (* Result side: published under rmutex, watched through rcond. A
+     result stays in [results] until it is handed out; [waiting] counts
+     the callers blocked in [await] on each id. *)
   rmutex : Mutex.t;
   rcond : Condition.t;
   results : (int, job_result) Hashtbl.t;
+  waiting : (int, int) Hashtbl.t;
   mutable epochs : int;
   mutable jobs_done : int;
   mutable stopped : bool;
@@ -89,8 +92,14 @@ let publish t r =
       t.jobs_done <- t.jobs_done + 1;
       Condition.broadcast t.rcond)
 
+(* Each result is handed out once: to every caller already blocked on
+   its id when it settles, or else to the first caller after; the last
+   of them drops it, so a long-running service keeps no result that has
+   been delivered. *)
 let await t id =
   Mutex_util.with_lock t.rmutex (fun () ->
+      let blocked () = Option.value (Hashtbl.find_opt t.waiting id) ~default:0 in
+      Hashtbl.replace t.waiting id (blocked () + 1);
       let rec wait () =
         match Hashtbl.find_opt t.results id with
         | Some r -> Some r
@@ -101,7 +110,14 @@ let await t id =
               wait ()
             end
       in
-      wait ())
+      let r = wait () in
+      let left = blocked () - 1 in
+      if left > 0 then Hashtbl.replace t.waiting id left
+      else begin
+        Hashtbl.remove t.waiting id;
+        Hashtbl.remove t.results id
+      end;
+      r)
 
 type stats = { epochs : int; jobs : int; queue_depth : int }
 
@@ -258,6 +274,7 @@ let create ?(paused = false) ?wal ?(epoch_base = 0) ?(job_base = 0) cfg =
           rmutex = Mutex.create ();
           rcond = Condition.create ();
           results = Hashtbl.create 64;
+          waiting = Hashtbl.create 16;
           epochs = epoch_base;
           jobs_done = 0;
           stopped = false;
@@ -548,8 +565,10 @@ module Front = struct
   (* Reply tokens queued by the reader, resolved in order by the
      writer. [`Result] blocks the writer in [await] — which is what
      keeps replies in submission order while letting the reader keep
-     accepting pipelined submissions for the same wave. *)
-  type reply = Line of string | Result of int
+     accepting pipelined submissions for the same wave. [Stats] is read
+     when the writer reaches it, so it counts the results sent before
+     it. *)
+  type reply = Line of string | Result of int | Stats
 
   let reader t fd replies () =
     let ic = Unix.in_channel_of_descr fd in
@@ -562,13 +581,7 @@ module Front = struct
           if line = "quit" then ()
           else begin
             (if line = "" then ()
-             else if line = "stats" then begin
-               let s = stats t in
-               Mailbox.push replies
-                 (Line
-                    (Printf.sprintf "stats epochs=%d jobs=%d queue=%d" s.epochs
-                       s.jobs s.queue_depth))
-             end
+             else if line = "stats" then Mailbox.push replies Stats
              else
                match
                  if String.length line > 7 && String.sub line 0 7 = "submit "
@@ -591,11 +604,14 @@ module Front = struct
     loop ();
     Mailbox.close replies
 
+  (* Once a write fails the client is gone, but the writer still awaits
+     the connection's remaining results, so none is left undelivered in
+     the service. *)
   let writer t fd replies () =
-    let rec loop () =
+    let rec loop connected =
       match Mailbox.pop replies with
       | None -> ()
-      | Some reply -> (
+      | Some reply ->
           let line =
             match reply with
             | Line s -> s
@@ -603,12 +619,19 @@ module Front = struct
                 match await t id with
                 | Some r -> result_line r
                 | None -> Printf.sprintf "failed %d service stopped" id)
+            | Stats ->
+                let s = stats t in
+                Printf.sprintf "stats epochs=%d jobs=%d queue=%d" s.epochs
+                  s.jobs s.queue_depth
           in
-          match write_line fd line with
-          | () -> loop ()
-          | exception Unix.Unix_error (_, _, _) -> ())
+          loop
+            (connected
+            &&
+            match write_line fd line with
+            | () -> true
+            | exception Unix.Unix_error (_, _, _) -> false)
     in
-    loop ();
+    loop true;
     try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
 
   let start t ~socket_path =

@@ -109,10 +109,14 @@ val submit :
     means the service is shutting down. *)
 
 val await : t -> int -> job_result option
-(** Block until the job's wave settles and return its result; [None]
-    only if the service was shut down before producing one (an
-    accepted job is always drained, so this means the id was never
-    accepted or the service died). *)
+(** Block until the job's wave settles and return its result. Each
+    result is handed out once — to every caller already blocked on the
+    id when it settles, or else to the first caller after — and then
+    the service forgets it, so a long-running service does not grow
+    with the jobs it has served. A later [await] of the same id blocks
+    until {!shutdown} and returns [None], as does an [await] of an id
+    that was never accepted. The front door awaits every job it
+    accepted, including those of clients that hung up. *)
 
 type stats = { epochs : int; jobs : int; queue_depth : int }
 
@@ -180,9 +184,10 @@ val recover :
     -> quit
     v}
 
-    Replies to [submit] come back in submission order but
-    asynchronously — a client may pipeline several submissions and the
-    service batches the ones that land in the same wave. *)
+    Replies come back in request order but asynchronously — a client
+    may pipeline several submissions and the service batches the ones
+    that land in the same wave. A [stats] reply describes the service
+    when it is sent, after the replies queued ahead of it. *)
 
 module Front : sig
   type server

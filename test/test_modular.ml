@@ -95,6 +95,153 @@ let test_pow_square_and_multiply_counts () =
     [ 64; 512 ]
 
 (* ------------------------------------------------------------------ *)
+(* Fixed-width kernels at every limb-count edge                        *)
+
+(* The reference: square-and-multiply over Bigint.mul and Bigint.erem,
+   and inverses by extended Euclid. *)
+let ref_mul m a b = Bigint.erem (Bigint.mul a b) m
+
+let ref_inv m a =
+  let g, x, _ = Zmod.egcd (Bigint.erem a m) m in
+  if Bigint.equal g Bigint.one then Some (Bigint.erem x m) else None
+
+let ref_pow m b e =
+  let square_and_multiply b e =
+    let b = Bigint.erem b m in
+    let acc = ref (Bigint.erem Bigint.one m) in
+    for i = Bigint.num_bits e - 1 downto 0 do
+      acc := ref_mul m !acc !acc;
+      if Bigint.testbit e i then acc := ref_mul m !acc b
+    done;
+    !acc
+  in
+  if Bigint.sign e >= 0 then Some (square_and_multiply b e)
+  else Option.map (fun bi -> square_and_multiply bi (Bigint.neg e)) (ref_inv m b)
+
+let kernel_rng = Prng.create ~seed:2505
+
+(* Odd moduli of 1, 2, 3, 4, 18 and 35 limbs whose top limb is 1 or
+   2^30 - 1, Algorithm D's two normalization extremes; the limbs below
+   are random. *)
+let top_limb_moduli =
+  List.concat_map
+    (fun limbs ->
+      List.map
+        (fun top ->
+          let low = Bigint.low_bits (Prng.bits kernel_rng (30 * limbs)) (30 * (limbs - 1)) in
+          let m = Bigint.add (Bigint.shift_left (Bigint.of_int top) (30 * (limbs - 1))) low in
+          if Bigint.is_even m then Bigint.add m Bigint.one else m)
+        [ 1; (1 lsl 30) - 1 ])
+    [ 1; 2; 3; 4; 18; 35 ]
+
+(* Every standard group's p and q (16 to 1024 bits: 1 to 35 limbs),
+   the top-limb edges, and odd composites, so some operands share a
+   factor with the modulus. *)
+let edge_moduli =
+  List.concat_map
+    (fun bits ->
+      let g = Group.standard ~bits in
+      [ g.Group.p; g.Group.q ])
+    Group.standard_sizes
+  @ top_limb_moduli
+  @ [ bi "21"; bi "15"; Bigint.mul (bi "3") (Group.standard ~bits:64).Group.q;
+      Bigint.mul (bi "5") (Group.standard ~bits:512).Group.p ]
+
+(* Zmod.mul's remainder does not need an odd modulus, and Zmod.inv
+   falls back to extended Euclid on an even one. *)
+let even_moduli =
+  [ bi "10"; Bigint.shift_left Bigint.one 30;
+    Bigint.add (Bigint.shift_left Bigint.one 60) Bigint.two;
+    Bigint.shift_left (Group.standard ~bits:64).Group.p 1 ]
+
+let edge_operands m =
+  [ Bigint.zero; Bigint.one; Bigint.sub m Bigint.one; m;
+    Bigint.add (Bigint.shift_left m 1) Bigint.one; Bigint.minus_one;
+    Bigint.neg (Bigint.add m (bi "3")); bi "3"; bi "15";
+    Prng.below kernel_rng m;
+    Bigint.neg (Prng.below kernel_rng m) ]
+
+let edge_exponents m =
+  [ Bigint.zero; Bigint.one; Bigint.minus_one; Bigint.two;
+    Prng.below kernel_rng m;
+    Bigint.neg (Prng.below kernel_rng m) ]
+
+let label m what = Printf.sprintf "%d-limb m=%s: %s" ((Bigint.num_bits m + 29) / 30)
+    (Bigint.to_string m) what
+
+(* The kernels must leave every operand's limbs as they found them:
+   Bigint.to_nat hands them out without a copy. *)
+let check_untouched m xs f =
+  let snapshot () = List.map (fun x -> Nat.limbs (Bigint.to_nat (Bigint.abs x))) xs in
+  let before = snapshot () in
+  let r = f () in
+  Alcotest.(check bool) (label m "operand limbs unchanged") true (before = snapshot ());
+  r
+
+let attempt f = match f () with x -> Some x | exception Not_found -> None
+
+let test_kernel_mul () =
+  List.iter
+    (fun m ->
+      let ops = edge_operands m in
+      List.iter
+        (fun a ->
+          List.iter
+            (fun b ->
+              check_bigint
+                (label m (Printf.sprintf "%s * %s" (Bigint.to_string a) (Bigint.to_string b)))
+                (ref_mul m a b)
+                (check_untouched m [ m; a; b ] (fun () -> Zmod.mul m a b)))
+            ops;
+          check_bigint (label m ("normalize " ^ Bigint.to_string a)) (Bigint.erem a m)
+            (Zmod.normalize m a))
+        ops)
+    (edge_moduli @ even_moduli)
+
+let test_kernel_pow () =
+  List.iter
+    (fun m ->
+      List.iter
+        (fun b ->
+          List.iter
+            (fun e ->
+              let got =
+                check_untouched m [ m; b; e ] (fun () -> attempt (fun () -> Zmod.pow m b e))
+              in
+              Alcotest.(check (option bigint_testable))
+                (label m (Printf.sprintf "%s ^ %s" (Bigint.to_string b) (Bigint.to_string e)))
+                (ref_pow m b e) got)
+            (edge_exponents m))
+        (edge_operands m))
+    edge_moduli
+
+let test_kernel_inv () =
+  List.iter
+    (fun m ->
+      List.iter
+        (fun a ->
+          (* Not_found exactly when gcd(a, m) <> 1. *)
+          Alcotest.(check (option bigint_testable))
+            (label m ("inverse of " ^ Bigint.to_string a))
+            (ref_inv m a)
+            (check_untouched m [ m; a ] (fun () -> attempt (fun () -> Zmod.inv m a))))
+        (edge_operands m))
+    (edge_moduli @ even_moduli);
+  Alcotest.check_raises "15 has no inverse mod 21" Not_found (fun () ->
+      ignore (Zmod.inv (bi "21") (bi "15")));
+  check_bigint "16 * 4 = 1 mod 21" (bi "4") (Zmod.inv (bi "21") (bi "16"))
+
+let test_pow_even_modulus () =
+  List.iter
+    (fun (m, e) ->
+      Alcotest.check_raises
+        (Printf.sprintf "pow mod %s" m)
+        (Invalid_argument "Zmod.pow: even modulus")
+        (fun () -> ignore (Zmod.pow (bi m) (bi "3") (bi e))))
+    [ ("10", "5"); ("2", "0"); ("1073741824", "-1");
+      (Bigint.to_string (Bigint.shift_left (Group.standard ~bits:64).Group.q 1), "7") ]
+
+(* ------------------------------------------------------------------ *)
 (* Zmod properties                                                     *)
 
 let q64 = (small_group ()).Group.q
@@ -307,6 +454,11 @@ let () =
          Alcotest.test_case "counters" `Quick test_counters;
          Alcotest.test_case "square-and-multiply counts" `Quick
            test_pow_square_and_multiply_counts ]);
+      ("zmod kernels",
+       [ Alcotest.test_case "mul and normalize at limb edges" `Quick test_kernel_mul;
+         Alcotest.test_case "pow at limb edges" `Quick test_kernel_pow;
+         Alcotest.test_case "inv at limb edges" `Quick test_kernel_inv;
+         Alcotest.test_case "pow refuses even moduli" `Quick test_pow_even_modulus ]);
       qsuite "zmod properties"
         [ prop_field_inverse;
           prop_pow_adds_exponents;

@@ -245,6 +245,64 @@ let test_client_hangs_up () =
   Serve.Front.stop front;
   Serve.shutdown t
 
+(* A long-running service must not keep every result it has served:
+   once await has handed a job's result out, the service forgets it. *)
+let test_result_handed_out_once () =
+  let t = Serve.create (Serve.config ~group_bits:16 ~seed:3 ~n:5 ~c:1 ()) in
+  let id = submit_ok t [| 2; 1; 3; 1; 2 |] in
+  Alcotest.(check bool) "first await returns the result" true
+    (Option.is_some (Serve.await t id));
+  Serve.shutdown t;
+  Alcotest.(check bool) "second await after shutdown returns None" true
+    (Serve.await t id = None)
+
+(* A stats request pipelined behind three submissions on one connection
+   is answered after their results, so it counts them: the snapshot is
+   taken when the reply is sent, not when the request is read. *)
+let test_stats_in_reply_order () =
+  let cfg = Serve.config ~group_bits:16 ~seed:11 ~n:5 ~c:1 () in
+  let t = Serve.create ~paused:true cfg in
+  let path = Filename.temp_file "dmw_serve_test" ".sock" in
+  let front = Serve.Front.start t ~socket_path:path in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  let say line =
+    let s = line ^ "\n" in
+    ignore (Unix.write_substring fd s 0 (String.length s) : int)
+  in
+  List.iter
+    (fun bids ->
+      say
+        ("submit "
+        ^ String.concat "," (Array.to_list (Array.map string_of_int bids))))
+    wave_jobs;
+  say "stats";
+  say "quit";
+  (* All three queued before the dispatcher runs: one wave, one epoch. *)
+  let rec queued k =
+    if (Serve.stats t).Serve.queue_depth < 3 && k > 0 then begin
+      Thread.delay 0.01;
+      queued (k - 1)
+    end
+  in
+  queued 500;
+  Serve.resume t;
+  (match read_lines fd 4 with
+  | [ r0; r1; r2; st ] ->
+      List.iteri
+        (fun j r ->
+          Alcotest.(check bool)
+            (Printf.sprintf "result %d in epoch 1" j)
+            true
+            (String.starts_with ~prefix:(Printf.sprintf "result %d epoch=1" j) r))
+        [ r0; r1; r2 ];
+      Alcotest.(check string) "stats counts the results before it"
+        "stats epochs=1 jobs=3 queue=0" st
+  | _ -> Alcotest.fail "short read");
+  (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
+  Serve.Front.stop front;
+  Serve.shutdown t
+
 (* Every epoch opens and closes its own fabric, so a descriptor leak
    there would only show in a long-running service: the count must not
    move across 40 one-job waves, and shutdown must return it to where
@@ -273,6 +331,10 @@ let () =
            test_service_waves;
          Alcotest.test_case "no descriptors held between waves" `Slow
            test_no_descriptors_between_waves;
+         Alcotest.test_case "a result is handed out once" `Slow
+           test_result_handed_out_once;
          Alcotest.test_case "front door protocol" `Slow test_front_door;
+         Alcotest.test_case "stats in reply order" `Slow
+           test_stats_in_reply_order;
          Alcotest.test_case "client hangs up before its reply" `Slow
            test_client_hangs_up ]) ]
