@@ -271,10 +271,10 @@ let run_cmd =
   let wal_path =
     Arg.(value & opt (some string) None
          & info [ "wal" ] ~docv:"PATH"
-             ~doc:"Journal the run into a durable write-ahead audit log at \
-                   PATH (truncating any existing file unless $(b,--resume) \
-                   is given): the run header, per-task phase checkpoints \
-                   and settlements, audit failures, and the final outcome.")
+             ~doc:"Journal the run into a durable write-ahead log at PATH \
+                   (truncating any existing file unless $(b,--resume) is \
+                   given): the run header, each attempt's start, per-task \
+                   phase checkpoints and settlements, and the final outcome.")
   in
   let resume =
     Arg.(value & flag

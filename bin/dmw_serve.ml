@@ -188,16 +188,16 @@ let cmd =
   let wal_path =
     Arg.(value & opt (some string) None
          & info [ "wal" ] ~docv:"PATH"
-             ~doc:"Journal the service into a durable write-ahead audit log: \
-                   the service header, every accepted submission, and each \
-                   epoch's dispatch and per-job settlements. Without \
-                   $(b,--resume) an existing file is truncated.")
+             ~doc:"Journal the service into a durable write-ahead log: the \
+                   service header, every accepted submission, and each \
+                   epoch's jobs and protocol run. Without $(b,--resume) an \
+                   existing file is truncated.")
   in
   let resume =
     Arg.(value & flag
          & info [ "resume" ]
              ~doc:"Recover from the $(b,--wal) journal before serving: \
-                   interrupted epochs are replayed deterministically, their \
+                   interrupted epochs are resumed deterministically, their \
                    settlements printed in front-door format, and the service \
                    continues with the journaled identity (n, c, seed, ...) \
                    and the next epoch/job ids.")

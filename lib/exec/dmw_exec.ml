@@ -468,9 +468,12 @@ let validate_bids (params : Params.t) bids =
         row)
     bids
 
-(* One protocol execution over a fixed agent population. *)
+(* One protocol execution over a fixed agent population. [settled]
+   sees each task settlement agent 0 reaches, as journaled into
+   [wal]. *)
 let run_attempt ~strategies ~seed ~keep_events ~batching ~hardened ~watchdog
-    ~pipeline ~faults ~wal ~attempt ~backend (params : Params.t) ~bids =
+    ~pipeline ~faults ~wal ~settled ~attempt ~backend (params : Params.t)
+    ~bids =
   validate_bids params bids;
   let n = params.n in
   let depth =
@@ -486,18 +489,20 @@ let run_attempt ~strategies ~seed ~keep_events ~batching ~hardened ~watchdog
      identical, so one witness per attempt journals the whole story
      (record *order* on the real-time backends may interleave with the
      driver's records; the values may not). *)
-  let on_phase =
-    Option.map
-      (fun w ~task phase (outcome : Agent.task_outcome option) ->
-        match (phase, outcome) with
-        | Agent.Done_, Some o ->
-            Dmw_wal.append w
-              (Dmw_wal.Task_done
-                 { attempt; task; winner = o.winner; y_star = o.y_star;
-                   y_star2 = o.y_star2 })
-        | _ ->
-            Dmw_wal.append w (Dmw_wal.Task_phase { attempt; task; phase }))
-      wal
+  let on_phase ~task phase (outcome : Agent.task_outcome option) =
+    (match (phase, outcome) with
+    | Agent.Done_, Some o -> settled ~attempt ~task o
+    | _ -> ());
+    match wal with
+    | None -> ()
+    | Some w ->
+        Dmw_wal.append w
+          (match (phase, outcome) with
+          | Agent.Done_, Some o ->
+              Dmw_wal.Task_done
+                { attempt; task; winner = o.winner; y_star = o.y_star;
+                  y_star2 = o.y_star2 }
+          | _ -> Dmw_wal.Task_phase { attempt; task; phase })
   in
   let (Backend ((module B), config)) = backend in
   (* The master RNG and per-agent split order are the seeding
@@ -507,7 +512,7 @@ let run_attempt ~strategies ~seed ~keep_events ~batching ~hardened ~watchdog
   let agents =
     Array.init n (fun i ->
         Agent.create ~batching ~hardened ?watchdog ?pipeline
-          ?on_phase:(if i = 0 then on_phase else None)
+          ?on_phase:(if i = 0 then Some on_phase else None)
           ~params ~id:i ~bids:bids.(i)
           ~strategy:(strategies i)
           ~rng:(Prng.split master_rng) ())
@@ -536,23 +541,6 @@ let run_attempt ~strategies ~seed ~keep_events ~batching ~hardened ~watchdog
     ~labels:[ ("backend", B.name) ]
     "dmw_pipeline_depth" (float_of_int depth);
   Array.iter Agent.finalize_stall agents;
-  (match wal with
-  | None -> ()
-  | Some w ->
-      Array.iteri
-        (fun i a ->
-          List.iter
-            (fun (e : Audit.entry) ->
-              Dmw_wal.append w
-                (Dmw_wal.Audit_entry
-                   { attempt; agent = i; task = e.task;
-                     description = e.description; ok = e.ok }))
-            (Audit.failures (Agent.audit a));
-          match Agent.aborted a with
-          | None -> ()
-          | Some reason ->
-              Dmw_wal.append w (Dmw_wal.Abort { attempt; agent = i; reason }))
-        agents);
   let statuses =
     Array.map
       (fun a ->
@@ -680,10 +668,14 @@ let check_options ~batching ~faults ~retries ~pipeline =
   if batching && Option.is_some faults then
     invalid_arg "Dmw_exec.run: faults cannot be combined with batching"
 
-let run ?(strategies = fun _ -> Strategy.Suggested) ?(seed = 42)
-    ?(keep_events = true) ?(batching = false) ?(hardened = false) ?faults
-    ?watchdog ?(retries = 0) ?pipeline ?wal ?(backend = sim ())
-    (params : Params.t) ~bids =
+(* [run] with every argument explicit, plus the [settled] hook through
+   which a resume sees the re-run's settlements. It journals the run's
+   header and progress but not its Run_end: the caller appends that
+   through [journal_end] once it accepts the result, so a refused
+   resume leaves no outcome a later recovery would read as settled. *)
+let run_with ~settled ~strategies ~seed ~keep_events ~batching ~hardened
+    ~faults ~watchdog ~retries ~pipeline ~wal ~backend (params : Params.t)
+    ~bids =
   check_options ~batching ~faults ~retries ~pipeline;
   (* Crash detection is armed exactly when an adverse environment is
      declared; fault-free runs keep the legacy run-to-quiescence
@@ -720,7 +712,7 @@ let run ?(strategies = fun _ -> Strategy.Suggested) ?(seed = 42)
       run_attempt ~strategies
         ~seed:(seed + (7919 * (attempt - 1)))
         ~keep_events ~batching ~hardened ~watchdog ~pipeline ~faults ~wal
-        ~attempt ~backend params ~bids
+        ~settled ~attempt ~backend params ~bids
     in
     let give_up () = remap_result ~params0 ~orig ~frozen ~attempt r in
     if completed_attempt r || attempt > retries then give_up ()
@@ -784,24 +776,33 @@ let run ?(strategies = fun _ -> Strategy.Suggested) ?(seed = 42)
       end
     end
   in
-  let r =
-    attempt_loop ~attempt:1 ~params ~bids ~strategies
-      ~orig:(Array.init params0.Params.n Fun.id)
-      ~faults
-  in
-  (match wal with
+  attempt_loop ~attempt:1 ~params ~bids ~strategies
+    ~orig:(Array.init params0.Params.n Fun.id)
+    ~faults
+
+let journal_end wal r =
+  match wal with
   | None -> ()
   | Some w ->
       Dmw_wal.append w
         (Dmw_wal.Run_end
-           { schedule =
-               Option.map Dmw_mechanism.Schedule.assignment r.schedule;
+           { schedule = Option.map Dmw_mechanism.Schedule.assignment r.schedule;
              first_prices = r.first_prices;
              second_prices = r.second_prices;
              payments = r.payments;
              attempts = r.attempts;
-             excluded = r.excluded });
-      Dmw_wal.sync w);
+             excluded = r.excluded })
+
+let run ?(strategies = fun _ -> Strategy.Suggested) ?(seed = 42)
+    ?(keep_events = true) ?(batching = false) ?(hardened = false) ?faults
+    ?watchdog ?(retries = 0) ?pipeline ?wal ?(backend = sim ()) params ~bids =
+  let r =
+    run_with
+      ~settled:(fun ~attempt:_ ~task:_ _ -> ())
+      ~strategies ~seed ~keep_events ~batching ~hardened ~faults ~watchdog
+      ~retries ~pipeline ~wal ~backend params ~bids
+  in
+  journal_end wal r;
   r
 
 (* ------------------------------------------------------------------ *)
@@ -821,11 +822,7 @@ let dones_of records =
       | _ -> None)
     records
 
-let resume ?(keep_events = true) ?backend ?(journal = true) path =
-  let* recovered =
-    Result.map_error Dmw_wal.error_to_string (Dmw_wal.read path)
-  in
-  let records = recovered.Dmw_wal.records in
+let resume_records ?(keep_events = true) ?(backend = sim ()) ?wal records =
   let* header =
     match records with
     | (Dmw_wal.Run_start _ as h) :: _ -> Ok h
@@ -878,103 +875,45 @@ let resume ?(keep_events = true) ?backend ?(journal = true) path =
         | _ -> acc)
       1 records
   in
-  let w =
-    if journal then
-      Some (Dmw_wal.continue_file path ~valid:recovered.Dmw_wal.valid)
-    else None
-  in
-  (match w with
+  (match wal with
   | None -> ()
   | Some w -> Dmw_wal.append w (Dmw_wal.Resumed { kept = List.length old_dones }));
   (* Recovery is re-execution: per-agent RNG streams are shared across
      the tasks of a run, so skipping settled auctions would desync the
      survivors' randomness. The journaled settlements instead become
-     obligations the re-run must reproduce exactly. *)
-  let t0 = Unix.gettimeofday () in
-  let run_again () =
-    run ~seed:hseed ~keep_events ~batching:hbatching ~hardened:hhardened
-      ?faults ?watchdog:hwatchdog ~retries:hretries ?pipeline:hpipeline ?wal:w
-      ?backend params ~bids:hbids
+     obligations the re-run must reproduce exactly. The re-run's own
+     settlements are collected from agent 0 as it reaches them; its
+     thread is joined before [run_with] returns. *)
+  let fresh = ref [] in
+  let settled ~attempt ~task (o : Agent.task_outcome) =
+    fresh := ((attempt, task), (o.winner, o.y_star, o.y_star2)) :: !fresh
   in
-  let result =
-    match w with
-    | None -> run_again ()
-    | Some w -> Fun.protect ~finally:(fun () -> Dmw_wal.close w) run_again
+  let* result =
+    match
+      run_with ~settled
+        ~strategies:(fun _ -> Strategy.Suggested)
+        ~seed:hseed ~keep_events ~batching:hbatching ~hardened:hhardened
+        ~faults ~watchdog:hwatchdog ~retries:hretries ~pipeline:hpipeline ~wal
+        ~backend params ~bids:hbids
+    with
+    | r -> Ok r
+    | exception Invalid_argument e -> Error ("journaled run refused: " ^ e)
   in
-  Dmw_obs.Span.emit ~name:"wal recovery"
-    ~attrs:
-      [ ("kept", string_of_int (List.length old_dones));
-        ("attempts_started", string_of_int attempts_started) ]
-    ~t_start:t0
-    ~t_stop:(Unix.gettimeofday ())
-    ()
-  |> ignore;
-  if Obs.Metrics.enabled () then begin
-    Obs.Metrics.bump "dmw_wal_recoveries_total" 1;
-    Obs.Metrics.bump "dmw_wal_recovered_records_total" (List.length old_dones)
-  end;
-  (* Cross-check: everything the crashed run journaled must be a
-     sub-history of the re-run. With journaling on, compare against the
-     fresh segment's own records; otherwise fall back to the final
-     attempt's consensus view. A mismatch means the log belongs to a
-     different run (or strategies differed) — refuse rather than
-     mis-resume. *)
+  (* Cross-check: everything the crashed run journaled, in every
+     attempt, must be a sub-history of the re-run. A mismatch means the
+     log belongs to a different run (or strategies differed) — refuse
+     rather than mis-resume. *)
   let* () =
-    if journal then begin
-      let* reread =
-        Result.map_error Dmw_wal.error_to_string (Dmw_wal.read path)
-      in
-      let fresh_segment =
-        List.rev
-          (List.fold_left
-             (fun acc r ->
-               match r with Dmw_wal.Resumed _ -> [] | r -> r :: acc)
-             [] reread.Dmw_wal.records)
-      in
-      let new_dones = dones_of fresh_segment in
-      let rec check = function
-        | [] -> Ok ()
-        | (((attempt, task), v) as _old) :: rest -> (
-            match List.assoc_opt (attempt, task) new_dones with
-            | Some v' when v' = v -> check rest
-            | _ ->
-                Error
-                  ("journaled settlement of attempt "
-                  ^ string_of_int attempt ^ ", task " ^ string_of_int task
-                  ^ " does not match the resumed run"))
-      in
-      check old_dones
-    end
-    else begin
-      (* No fresh journal to diff against: verify the final attempt's
-         settlements against the consensus result (winner indices are
-         attempt-local; survivors keep ascending order, so the
-         non-excluded original indices are the rank map). *)
-      let orig =
-        Array.of_list
-          (List.filter
-             (fun i -> not (Array.mem i result.excluded))
-             (List.init result.params.Params.n Fun.id))
-      in
-      match (result.schedule, result.first_prices, result.second_prices) with
-      | Some s, Some fp, Some sp ->
-          let assignment = Dmw_mechanism.Schedule.assignment s in
-          let ok =
-            List.for_all
-              (fun ((attempt, task), (winner, y1, y2)) ->
-                attempt <> result.attempts
-                || task >= 0
-                   && task < Array.length assignment
-                   && winner >= 0
-                   && winner < Array.length orig
-                   && assignment.(task) = orig.(winner)
-                   && fp.(task) = y1 && sp.(task) = y2)
-              old_dones
-          in
-          if ok then Ok ()
-          else Error "journaled settlements do not match the resumed run"
-      | _ -> Ok ()
-    end
+    match
+      List.find_opt
+        (fun (key, v) -> List.assoc_opt key !fresh <> Some v)
+        old_dones
+    with
+    | None -> Ok ()
+    | Some ((attempt, task), _) ->
+        Error
+          ("journaled settlement of attempt " ^ string_of_int attempt
+         ^ ", task " ^ string_of_int task ^ " does not match the resumed run")
   in
   (* A log that already holds a Run_end describes a completed run; the
      re-run must land on the very same consensus. *)
@@ -994,7 +933,30 @@ let resume ?(keep_events = true) ?backend ?(journal = true) path =
     if List.for_all matches records then Ok ()
     else Error "journaled Run_end does not match the resumed run"
   in
+  journal_end wal result;
   Ok { result; kept = List.length old_dones; attempts_started }
+
+let resume ?keep_events ?backend ?(journal = true) path =
+  let* recovered =
+    Result.map_error Dmw_wal.error_to_string (Dmw_wal.read path)
+  in
+  let t0 = Unix.gettimeofday () in
+  let resumed =
+    let records = recovered.Dmw_wal.records in
+    if journal then begin
+      let w = Dmw_wal.continue_file path ~valid:recovered.Dmw_wal.valid in
+      Fun.protect
+        ~finally:(fun () -> Dmw_wal.close w)
+        (fun () -> resume_records ?keep_events ?backend ~wal:w records)
+    end
+    else resume_records ?keep_events ?backend records
+  in
+  Result.iter
+    (fun r ->
+      Dmw_wal.observe_recovery ~t_start:t0 ~kept:r.kept
+        [ ("attempts_started", string_of_int r.attempts_started) ])
+    resumed;
+  resumed
 
 (* ------------------------------------------------------------------ *)
 (* Derived quantities                                                  *)

@@ -187,12 +187,11 @@ val run :
     is expressed in the original agent numbering with the expelled
     agents listed in [excluded].
 
-    [wal] journals the run into a write-ahead audit log: the
-    deterministic run header (seed, fully serialized params, bids,
-    knob settings, fault policy), per-attempt phase checkpoints and
-    task settlements observed on agent 0, every failed audit check and
-    abort, and the final consensus outcome. See {!Dmw_wal} and
-    {!resume}. *)
+    [wal] journals the run into a write-ahead log: the deterministic
+    run header (seed, fully serialized params, bids, knob settings,
+    fault policy), each attempt's start, the phase checkpoints and task
+    settlements observed on agent 0, and the final consensus outcome.
+    See {!Dmw_wal} and {!resume}. *)
 
 val check_options :
   batching:bool ->
@@ -218,31 +217,45 @@ type recovery = {
       (** Protocol attempts the interrupted run had begun. *)
 }
 
+val resume_records :
+  ?keep_events:bool ->
+  ?backend:backend ->
+  ?wal:Dmw_wal.writer ->
+  Dmw_wal.record list ->
+  (recovery, string) Stdlib.result
+(** Recover one interrupted {!run} from its journaled records, which
+    must begin with its [Run_start] header; every [Run_start] among
+    them must be that header. Params and fault policy are
+    reconstructed and revalidated, and the whole run is re-executed
+    deterministically from the journaled (seed, params, bids) —
+    per-agent RNG streams span all of a run's tasks, so settled
+    auctions cannot be skipped without desyncing the survivors.
+    Instead every journaled [Task_done], of every attempt, is an
+    obligation the re-run must reproduce {e exactly}, and so is any
+    journaled [Run_end]; [Error] names the first that disagrees (a log
+    from a different run, or a run under non-default strategies, which
+    are deliberately not journaled). Attempt seeds are rederived from
+    the header ([seed + 7919*(attempt-1)]), so re-auction chains
+    replay identically.
+
+    [wal], when given, receives a [Resumed] marker and then the
+    re-run's own records, so a recovery that dies again can itself be
+    recovered. The re-run's [Run_end] is appended only once every
+    check has passed: a refused recovery journals no outcome, so each
+    later attempt re-runs and refuses again. [backend] defaults to the simulator; cross-backend
+    signature equality makes the choice outcome-invariant. *)
+
 val resume :
   ?keep_events:bool ->
   ?backend:backend ->
   ?journal:bool ->
   string ->
   (recovery, string) Stdlib.result
-(** [resume path] recovers an interrupted {!run} from its write-ahead
-    log: the header journaled by [?wal] is read back (tolerating a torn
-    tail), params and fault policy are reconstructed and revalidated,
-    and the whole run is re-executed deterministically from the
-    journaled (seed, params, bids) — per-agent RNG streams span all of
-    a run's tasks, so settled auctions cannot be skipped without
-    desyncing the survivors; instead the journaled settlements become
-    obligations the re-run must reproduce {e exactly}, and resume
-    refuses with [Error] when any journaled value disagrees (a log from
-    a different run, or a run under non-default strategies, which are
-    deliberately not journaled). Epoch/attempt seeds are rederived from
-    the header ([seed + 7919*(attempt-1)]), so re-auction chains replay
-    identically.
-
-    With [journal] (default true) the re-run appends a fresh
-    [Resumed]-delimited segment to the same file — so a resumed process
-    that dies again can itself be resumed. [backend] defaults to the
-    simulator; cross-backend signature equality makes the choice
-    outcome-invariant. *)
+(** [resume path] is {!resume_records} over the records of a one-shot
+    run's journal at [path], read back with its torn tail tolerated.
+    With [journal] (default true) the re-run is appended to the same
+    file after its intact prefix. Emits the ["wal recovery"] span and
+    bumps [dmw_wal_recoveries_total] once per successful recovery. *)
 
 val completed : result -> bool
 (** True when a consensus schedule and full payments exist. *)

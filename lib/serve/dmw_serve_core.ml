@@ -126,22 +126,6 @@ let stats t =
       { epochs = t.epochs; jobs = t.jobs_done;
         queue_depth = Mailbox.length t.queue })
 
-(* The journal record of one job's settlement. *)
-let settlement (r : job_result) =
-  match r.outcome with
-  | Some o ->
-      Dmw_wal.Job_done
-        { job = r.job; epoch = r.epoch; task = r.task; winner = o.Agent.winner;
-          y_star = o.Agent.y_star; y_star2 = o.Agent.y_star2 }
-  | None ->
-      Dmw_wal.Job_failed
-        { job = r.job; epoch = r.epoch; task = r.task;
-          error = Option.value r.error ~default:"unknown" }
-
-let settle t r =
-  journal t (settlement r);
-  publish t r
-
 (* ------------------------------------------------------------------ *)
 (* Epochs                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -149,72 +133,90 @@ let settle t r =
 (* One wave is one protocol run: epoch [e] of a service seeded with
    [s] is Dmw_exec.run ~seed:(s + 7919*(e-1)) over the wave's bid
    vectors — on the socket backend when live, on the simulator when
-   recovery replays it. Wave 1 is thus bit for bit Dmw_exec.run
-   ~seed:s on the same jobs; later waves re-salt with the same stride
-   the one-shot runner uses between attempts. Job [j] of the wave
-   ([jobs.(j)] its id) is task [j]; its outcome is the consensus
-   winner and prices, or a failure when the wave reached none. *)
-let run_wave (cfg : config) ~backend ~epoch ~jobs w_vectors =
+   recovery runs it. Wave 1 is thus bit for bit Dmw_exec.run ~seed:s
+   on the same jobs; later waves re-salt with the same stride the
+   one-shot runner uses between attempts. The run journals itself into
+   [wal]: its records are the epoch's settlement. *)
+let wave_inputs (cfg : config) ~epoch w_vectors =
   let m = Array.length w_vectors in
   let params =
     Params.make_exn ~group_bits:cfg.group_bits ~seed:cfg.seed ?w_max:cfg.w_max
       ~n:cfg.n ~m ~c:cfg.c ()
   in
   let bids = Array.init cfg.n (fun i -> Array.map (fun w -> w.(i)) w_vectors) in
-  let r =
-    Dmw_exec.run ~seed:(cfg.seed + (7919 * (epoch - 1))) ~keep_events:false
-      ?pipeline:cfg.pipeline ~backend params ~bids
-  in
-  let result task =
-    match (r.schedule, r.first_prices, r.second_prices) with
-    | Some s, Some fp, Some sp ->
-        let winner = (Dmw_mechanism.Schedule.assignment s).(task) in
-        { job = jobs.(task); epoch; task; error = None;
-          outcome =
-            Some { Agent.winner; y_star = fp.(task); y_star2 = sp.(task) } }
-    | _ ->
-        { job = jobs.(task); epoch; task; outcome = None;
-          error = Some "wave failed: no consensus" }
-  in
-  (r, Array.init m result)
+  (cfg.seed + (7919 * (epoch - 1)), params, bids)
 
+let run_wave (cfg : config) ~backend ?wal (seed, params, bids) =
+  Dmw_exec.run ~seed ~keep_events:false ?pipeline:cfg.pipeline ?wal ~backend
+    params ~bids
+
+(* The Run_start that [run_wave]'s run journals: Dmw_exec.run's header
+   with every knob the service leaves at its default. *)
+let wave_header (cfg : config) (seed, params, bids) =
+  Dmw_wal.Run_start
+    { seed; params = Dmw_wal.snapshot_of_params params; bids;
+      batching = false; hardened = false; pipeline = cfg.pipeline;
+      retries = 0; watchdog = None; faults = None }
+
+(* Job [j] of a wave ([jobs.(j)] its id) is task [j] of the epoch's
+   run; its outcome is the consensus winner and prices, or a failure
+   when the run reached none. *)
+let wave_results ~epoch ~jobs (schedule, first_prices, second_prices) =
+  Array.mapi
+    (fun task job ->
+      match (schedule, first_prices, second_prices) with
+      | Some s, Some fp, Some sp ->
+          { job; epoch; task; error = None;
+            outcome =
+              Some { Agent.winner = s.(task); y_star = fp.(task);
+                     y_star2 = sp.(task) } }
+      | _ ->
+          { job; epoch; task; outcome = None;
+            error = Some "wave failed: no consensus" })
+    jobs
+
+let consensus (r : Dmw_exec.result) =
+  ( Option.map Dmw_mechanism.Schedule.assignment r.schedule,
+    r.first_prices,
+    r.second_prices )
+
+(* A wave whose run raises still consumes its epoch number, so no two
+   Epoch_start records of one journal share a number. *)
 let run_epoch t wave =
   let epoch = Mutex_util.with_lock t.rmutex (fun () -> t.epochs + 1) in
   let jobs = Array.map (fun job -> job.id) wave in
-  journal t (Dmw_wal.Epoch_start { epoch; jobs });
-  let r, results =
-    run_wave t.cfg ~epoch ~jobs
-      ~backend:(Dmw_exec.socket ~timeout:t.cfg.epoch_timeout ())
-      (Array.map (fun job -> job.w_vector) wave)
+  let results =
+    match
+      journal t (Dmw_wal.Epoch_start { epoch; jobs });
+      run_wave t.cfg ?wal:t.wal
+        ~backend:(Dmw_exec.socket ~timeout:t.cfg.epoch_timeout ())
+        (wave_inputs t.cfg ~epoch (Array.map (fun job -> job.w_vector) wave))
+    with
+    | exception exn ->
+        let error = Some (Printexc.to_string exn) in
+        Array.mapi (fun task job -> { job; epoch; task; outcome = None; error })
+          jobs
+    | r ->
+        let module Metrics = Dmw_obs.Metrics in
+        (* Epochs last from tens of milliseconds to a few seconds. *)
+        Metrics.observe ~labels:obs_labels
+          ~edges:
+            [| 0.001; 0.0025; 0.005; 0.01; 0.025; 0.05; 0.1; 0.25; 0.5; 1.;
+               2.5; 5.; 10.; 30. |]
+          "dmw_serve_epoch_seconds" r.duration;
+        Metrics.bump ~labels:obs_labels "dmw_serve_epochs_total" 1;
+        Metrics.bump ~labels:obs_labels "dmw_serve_jobs_total"
+          (Array.length wave);
+        Metrics.set ~labels:obs_labels "dmw_serve_queue_depth"
+          (float_of_int (Mailbox.length t.queue));
+        Metrics.bump ~labels:obs_labels "dmw_serve_settled_total"
+          (Array.fold_left
+             (fun k p -> if Option.is_some p then k + 1 else k)
+             0 r.payments);
+        wave_results ~epoch ~jobs (consensus r)
   in
-  let module Metrics = Dmw_obs.Metrics in
-  (* Epochs last from tens of milliseconds to a few seconds. *)
-  Metrics.observe ~labels:obs_labels
-    ~edges:
-      [| 0.001; 0.0025; 0.005; 0.01; 0.025; 0.05; 0.1; 0.25; 0.5; 1.; 2.5;
-         5.; 10.; 30. |]
-    "dmw_serve_epoch_seconds" r.duration;
-  Metrics.bump ~labels:obs_labels "dmw_serve_epochs_total" 1;
-  Metrics.bump ~labels:obs_labels "dmw_serve_jobs_total" (Array.length wave);
-  Metrics.set ~labels:obs_labels "dmw_serve_queue_depth"
-    (float_of_int (Mailbox.length t.queue));
-  Metrics.bump ~labels:obs_labels "dmw_serve_settled_total"
-    (Array.fold_left
-       (fun k p -> if Option.is_some p then k + 1 else k)
-       0 r.payments);
   Mutex_util.with_lock t.rmutex (fun () -> t.epochs <- epoch);
-  Array.iter (settle t) results;
-  journal t (Dmw_wal.Epoch_end { epoch })
-
-let fail_wave t wave message =
-  (* t.epochs is owned by rmutex; the dispatcher may be bumping it
-     concurrently, so take the same snapshot run_epoch does. *)
-  let epoch = Mutex_util.with_lock t.rmutex (fun () -> t.epochs + 1) in
-  Array.iteri
-    (fun task job ->
-      settle t
-        { job = job.id; epoch; task; outcome = None; error = Some message })
-    wave
+  Array.iter (publish t) results
 
 (* ------------------------------------------------------------------ *)
 (* Dispatcher                                                          *)
@@ -240,9 +242,7 @@ let rec dispatch t =
   | None -> ()  (* closed and drained: shutdown *)
   | Some first ->
       if t.cfg.wave_window > 0.0 then Thread.delay t.cfg.wave_window;
-      let wave = Array.of_list (fill_wave t [ first ] (t.cfg.max_wave - 1)) in
-      (try run_epoch t wave
-       with exn -> fail_wave t wave (Printexc.to_string exn));
+      run_epoch t (Array.of_list (fill_wave t [ first ] (t.cfg.max_wave - 1)));
       dispatch t
 
 (* ------------------------------------------------------------------ *)
@@ -342,52 +342,40 @@ type recovery = {
 
 let ( let* ) = Result.bind
 
-(* Recovery re-derives every interrupted epoch from the journal alone:
-   run_wave on the sim backend replays a socket service's waves bit for
-   bit, because signatures are backend-invariant. Settlements the
-   crashed process already journaled become obligations the replay must
-   reproduce. *)
+(* Recovery re-derives every epoch from the journal alone, through
+   Dmw_exec: signatures are backend-invariant, so the simulator stands
+   in for the socket runs of the live service. *)
 let recover ?journal:w records =
   let jot r = match w with None -> () | Some jw -> Dmw_wal.append jw r in
-  let* hdr =
-    let rec find = function
-      | [] -> Error "write-ahead log has no Serve_start header"
-      | (Dmw_wal.Serve_start _ as h) :: _ -> Ok h
-      | _ :: rest -> find rest
-    in
-    find records
-  in
-  let* () =
+  let* (cfg : config) =
     (* A resumed service appends a fresh Serve_start segment; all
        segments must describe the same service. *)
-    if
-      List.for_all
-        (function Dmw_wal.Serve_start _ as r -> r = hdr | _ -> true)
-        records
-    then Ok ()
-    else Error "write-ahead log mixes headers from different services"
-  in
-  let* (cfg : config) =
-    match hdr with
+    match
+      List.filter (function Dmw_wal.Serve_start _ -> true | _ -> false) records
+    with
+    | [] -> Error "write-ahead log has no Serve_start header"
+    | hdr :: rest when List.exists (( <> ) hdr) rest ->
+        Error "write-ahead log mixes headers from different services"
     | Dmw_wal.Serve_start { n; c; group_bits; seed; w_max; pipeline; max_wave }
-      -> (
+      :: _ -> (
         match config ~group_bits ~seed ?w_max ?pipeline ~max_wave ~n ~c () with
         | cfg -> Ok cfg
         | exception Invalid_argument e ->
             Error ("invalid journaled service parameters: " ^ e))
-    | _ -> Error "unreachable: the header is a Serve_start record"
+    | _ :: _ -> Error "unreachable: the header is a Serve_start record"
   in
-  (* Fold the journal; the last record naming a job or epoch wins, so
-     recovering an already-recovered log sees the repaired state. *)
+  (* Fold the journal. Epochs never overlap, so each run record belongs
+     to the epoch of the last Epoch_start before it; submissions that
+     landed mid-run and recovery markers are skipped. An epoch recovery
+     ran again holds the records of every run journaled for it. *)
   let subs = Hashtbl.create 64 in
   let order = ref [] in
-  let settled = Hashtbl.create 64 in
-  let estarts = Hashtbl.create 16 in
-  let eends = Hashtbl.create 16 in
+  let epochs = Hashtbl.create 16 in
   let dispatched = Hashtbl.create 64 in
-  let max_epoch = ref 0 in
-  let max_job = ref (-1) in
-  let note_job j = if j > !max_job then max_job := j in
+  let current = ref None in
+  let last_epoch = ref 0 in
+  let next_job = ref 0 in
+  let note_job j = next_job := max !next_job (j + 1) in
   List.iter
     (fun r ->
       match r with
@@ -396,131 +384,132 @@ let recover ?journal:w records =
           Hashtbl.replace subs job bids;
           note_job job
       | Dmw_wal.Epoch_start { epoch; jobs } ->
-          Hashtbl.replace estarts epoch jobs;
-          Array.iter (fun j -> Hashtbl.replace dispatched j ()) jobs;
-          if epoch > !max_epoch then max_epoch := epoch
-      | Dmw_wal.Epoch_end { epoch } -> Hashtbl.replace eends epoch ()
-      | Dmw_wal.Job_done { job; epoch; task; winner; y_star; y_star2 } ->
-          Hashtbl.replace settled job
-            { job; epoch; task;
-              outcome = Some { Agent.winner; y_star; y_star2 };
-              error = None };
-          note_job job
-      | Dmw_wal.Job_failed { job; epoch; task; error } ->
-          Hashtbl.replace settled job
-            { job; epoch; task; outcome = None; error = Some error };
-          note_job job
-      | _ -> ())
-    records;
-  let kept = Hashtbl.length settled in
-  jot (Dmw_wal.Resumed { kept });
-  (* Waves still owed an execution: journaled epochs that never reached
-     their Epoch_end, then never-dispatched submissions batched
-     [max_wave] at a time into fresh epochs, in submission order. *)
-  let unfinished =
-    Hashtbl.fold
-      (fun e jobs acc -> if Hashtbl.mem eends e then acc else (e, jobs) :: acc)
-      estarts []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  in
-  let fresh_ids =
-    List.rev !order
-    |> List.filter (fun j ->
-           (not (Hashtbl.mem dispatched j)) && not (Hashtbl.mem settled j))
-  in
-  let rec take k = function
-    | x :: rest when k > 0 ->
-        let xs, rest' = take (k - 1) rest in
-        (x :: xs, rest')
-    | rest -> ([], rest)
-  in
-  let rec batch acc = function
-    | [] -> List.rev acc
-    | ids ->
-        let wave, rest = take cfg.max_wave ids in
-        batch (Array.of_list wave :: acc) rest
-  in
-  let fresh_waves =
-    List.mapi (fun k ids -> (!max_epoch + 1 + k, ids)) (batch [] fresh_ids)
-  in
-  let next_epoch = !max_epoch + List.length fresh_waves in
-  let replayed = ref 0 in
-  let replay (epoch, ids) =
-    let* w_vectors =
-      Array.fold_left
-        (fun acc j ->
-          let* acc = acc in
-          match Hashtbl.find_opt subs j with
-          | Some bv when Array.length bv = cfg.n -> Ok (bv :: acc)
-          | Some _ ->
-              Error
-                ("journaled bids for job " ^ string_of_int j
-               ^ " do not match the population size")
-          | None ->
-              Error
-                ("epoch " ^ string_of_int epoch ^ " references job "
-               ^ string_of_int j ^ " with no journaled submission"))
-        (Ok []) ids
-    in
-    jot (Dmw_wal.Epoch_start { epoch; jobs = ids });
-    let* results =
-      match
-        run_wave cfg ~backend:(Dmw_exec.sim ()) ~epoch ~jobs:ids
-          (Array.of_list (List.rev w_vectors))
-      with
-      | _, results -> Ok results
-      | exception Invalid_argument e -> Error ("replay failed: " ^ e)
-    in
-    let* () =
-      Array.fold_left
-        (fun acc (result : job_result) ->
-          let* () = acc in
-          let* () =
-            (* A value the crashed process journaled must be reproduced
-               exactly; a journaled environmental failure may be healed
-               by the replay. *)
-            match Hashtbl.find_opt settled result.job with
-            | Some { outcome = Some o1; _ } -> (
-                match result.outcome with
-                | Some o2 when o1 = o2 -> Ok ()
-                | Some _ | None ->
-                    Error
-                      ("journaled settlement of job " ^ string_of_int result.job
-                     ^ " does not match the replayed epoch "
-                     ^ string_of_int epoch))
-            | Some { outcome = None; _ } | None -> Ok ()
+          let runs =
+            match Hashtbl.find_opt epochs epoch with
+            | Some (_, runs) -> runs
+            | None -> ref []
           in
-          jot (settlement result);
-          Hashtbl.replace settled result.job result;
-          Ok ())
-        (Ok ()) results
-    in
-    jot (Dmw_wal.Epoch_end { epoch });
-    incr replayed;
-    Ok ()
+          Hashtbl.replace epochs epoch (jobs, runs);
+          Array.iter (fun j -> Hashtbl.replace dispatched j (); note_job j) jobs;
+          last_epoch := max !last_epoch epoch;
+          current := Some runs
+      | Dmw_wal.Run_start _ | Dmw_wal.Attempt_start _ | Dmw_wal.Task_phase _
+      | Dmw_wal.Task_done _ | Dmw_wal.Run_end _ ->
+          Option.iter (fun runs -> runs := r :: !runs) !current
+      | Dmw_wal.Serve_start _ | Dmw_wal.Resumed _ -> ())
+    records;
+  let journaled =
+    Hashtbl.fold
+      (fun epoch (jobs, runs) acc -> (epoch, jobs, List.rev !runs) :: acc)
+      epochs []
+    |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
   in
-  let* () =
+  (* The consensus a journaled Run_end settled. *)
+  let run_end runs =
+    List.find_map
+      (function
+        | Dmw_wal.Run_end e -> Some (e.schedule, e.first_prices, e.second_prices)
+        | _ -> None)
+      runs
+  in
+  let kept =
     List.fold_left
-      (fun acc wave ->
-        let* () = acc in
-        replay wave)
-      (Ok ()) (unfinished @ fresh_waves)
+      (fun k (_, jobs, runs) ->
+        if Option.is_some (run_end runs) then k + Array.length jobs else k)
+      0 journaled
   in
-  (match w with Some jw -> Dmw_wal.sync jw | None -> ());
-  let module Metrics = Dmw_obs.Metrics in
-  if Metrics.enabled () then begin
-    Metrics.bump ~labels:obs_labels "dmw_wal_recoveries_total" 1;
-    Metrics.bump ~labels:obs_labels "dmw_wal_recovered_records_total" kept
-  end;
+  jot (Dmw_wal.Resumed { kept });
+  (* Submissions never dispatched run [max_wave] at a time as fresh
+     epochs, in submission order, after the journaled ones. *)
+  let rec waves epoch = function
+    | [] -> []
+    | ids ->
+        let wave = List.filteri (fun i _ -> i < cfg.max_wave) ids in
+        let rest = List.filteri (fun i _ -> i >= cfg.max_wave) ids in
+        (epoch, Array.of_list wave, []) :: waves (epoch + 1) rest
+  in
+  let fresh =
+    waves (!last_epoch + 1)
+      (List.rev !order |> List.filter (fun j -> not (Hashtbl.mem dispatched j)))
+  in
+  let t0 = Unix.gettimeofday () in
+  let replayed = ref 0 in
+  let bids j =
+    match Hashtbl.find_opt subs j with
+    | Some bv when Array.length bv = cfg.n -> bv
+    | Some _ | None ->
+        invalid_arg
+          ("job " ^ string_of_int j ^ " has no journaled submission of "
+         ^ string_of_int cfg.n ^ " bids")
+  in
+  (* An epoch whose Run_end is journaled is read off it. Any other is
+     run on sim from its jobs' journaled submissions, under its
+     Epoch_start journaled again: resumed from its run records when it
+     has some, which must open with the header the service would have
+     journaled and hold the re-run to everything they settled, or else
+     fresh. *)
+  let settle_epoch (epoch, jobs, runs) =
+    let* outcome =
+      match run_end runs with
+      | Some settled -> Ok settled
+      | None -> (
+          match wave_inputs cfg ~epoch (Array.map bids jobs) with
+          | exception Invalid_argument e ->
+              Error ("epoch " ^ string_of_int epoch ^ " cannot run: " ^ e)
+          | inputs -> (
+              let backend = Dmw_exec.sim () in
+              let replay () =
+                jot (Dmw_wal.Epoch_start { epoch; jobs });
+                incr replayed
+              in
+              match runs with
+              | [] ->
+                  replay ();
+                  Ok (consensus (run_wave cfg ~backend ?wal:w inputs))
+              | r :: _ when r = wave_header cfg inputs ->
+                  replay ();
+                  let* rc =
+                    Dmw_exec.resume_records ~keep_events:false ~backend ?wal:w
+                      runs
+                  in
+                  Ok (consensus rc.Dmw_exec.result)
+              | _ :: _ ->
+                  Error
+                    ("the run journaled for epoch " ^ string_of_int epoch
+                   ^ " is not the one its seed and submissions call for")))
+    in
+    let s, fp, sp = outcome in
+    if
+      List.for_all
+        (Option.fold ~none:true ~some:(fun a ->
+             Array.length a = Array.length jobs))
+        [ s; fp; sp ]
+    then Ok (wave_results ~epoch ~jobs outcome)
+    else
+      Error
+        ("the run journaled for epoch " ^ string_of_int epoch
+       ^ " does not match its jobs")
+  in
+  let* settled =
+    List.fold_left
+      (fun acc e ->
+        let* acc = acc in
+        let* rs = settle_epoch e in
+        Ok (rs :: acc))
+      (Ok []) (journaled @ fresh)
+  in
+  Dmw_wal.observe_recovery ~t_start:t0 ~kept
+    [ ("replayed", string_of_int !replayed) ];
   let results =
-    Hashtbl.fold (fun _ r acc -> r :: acc) settled []
+    List.concat_map Array.to_list settled
     |> List.sort (fun a b -> Int.compare a.job b.job)
   in
   Ok
     { n = cfg.n; c = cfg.c; group_bits = cfg.group_bits; seed = cfg.seed;
       w_max = cfg.w_max; pipeline = cfg.pipeline; max_wave = cfg.max_wave;
-      results; kept; replayed = !replayed; next_epoch;
-      next_job = !max_job + 1 }
+      results; kept; replayed = !replayed;
+      next_epoch = !last_epoch + List.length fresh;
+      next_job = !next_job }
 
 (* ------------------------------------------------------------------ *)
 (* Front door                                                          *)

@@ -68,12 +68,15 @@ val create :
     deterministically before any epoch starts. Raises [Invalid_argument] when the
     population parameters do not validate.
 
-    [wal] journals the service into a write-ahead audit log: a
+    [wal] journals the service into a write-ahead log: a
     [Serve_start] header at creation, every accepted submission with
-    its bid vector, and each epoch's dispatch and per-job settlements —
-    enough for {!recover} to replay any interrupted wave
-    deterministically. The writer serializes concurrent appends; the
-    caller keeps ownership (close it after {!shutdown}).
+    its bid vector, and each epoch's [Epoch_start] (which jobs form
+    it), followed by the epoch's own {!Dmw_exec.run} records, which
+    are its settlement — enough for {!recover} to finish any
+    interrupted wave deterministically. The writer serializes
+    concurrent appends; the caller keeps ownership (close it after
+    {!shutdown}). A wave whose run raises still takes its epoch
+    number; its jobs fail with the exception's text.
 
     [epoch_base] / [job_base] (default [0]) start the epoch counter and
     job-id allocator above values already consumed — how a service
@@ -136,9 +139,11 @@ type recovery = {
           [Serve_start] header (all segments must agree). *)
   results : job_result list;
       (** Every journaled job's settlement, ascending by job id —
-          settlements read from the log plus those produced by
-          replaying interrupted waves. *)
-  kept : int;  (** Settlements read straight off the log. *)
+          settlements read from the log plus those produced by running
+          interrupted waves. *)
+  kept : int;
+      (** Jobs of the epochs whose [Run_end] is journaled: settlements
+          read straight off the log. *)
   replayed : int;  (** Epochs (re-)executed during recovery. *)
   next_epoch : int;
       (** Highest epoch number now settled — pass as [create]'s
@@ -155,19 +160,22 @@ val recover :
     {!Dmw_wal.read}, which already tolerates a torn tail). Epoch [e] of
     a service seeded with [s] is by construction
     [Dmw_exec.run ~seed:(s + 7919*(e-1))] over the wave's bid vectors,
-    and consensus signatures are backend-invariant — so every epoch
-    that never journaled its [Epoch_end] is replayed bit-identically on
-    the sim backend, and submissions never dispatched are batched
-    [max_wave] at a time into fresh epochs. Settlements the crashed
-    process already journaled are obligations: a replayed value that
-    disagrees fails with [Error] (wrong log for this run, or a
-    corrupted one); a journaled {e environmental} failure (timeout,
-    crashed wave) is healed by its replay instead.
+    journaled by that run itself, and consensus signatures are
+    backend-invariant. So an epoch whose [Run_end] is journaled is read
+    off it; one whose run started is resumed on sim by
+    {!Dmw_exec.resume_records} once its [Run_start] is the header that
+    seed and its jobs' journaled bids call for, and is held to every
+    settlement the crashed process journaled; one whose run never
+    started, and submissions never dispatched ([max_wave] at a time, as
+    fresh epochs), run fresh on sim. Any disagreement, or a job with no
+    journaled submission, fails with [Error]; a refused recovery
+    journals no [Run_end], so every later attempt refuses too.
 
-    [journal] appends the recovery to the same log as a fresh
-    [Resumed]-delimited segment — give it a
+    [journal] appends the recovery to the same log: a [Resumed] marker,
+    then each epoch it runs under its [Epoch_start] again — give it a
     {!Dmw_wal.continue_file} writer so a recovery that itself dies
-    remains recoverable. *)
+    remains recoverable. A successful recovery emits the
+    ["wal recovery"] span and bumps [dmw_wal_recoveries_total] once. *)
 
 (** {1 Front door}
 

@@ -1,4 +1,4 @@
-(* Durable write-ahead audit log. See dmw_wal.mli for the on-disk
+(* Durable write-ahead log. See dmw_wal.mli for the on-disk
    format and the recovery model; PROTOCOL.md section 8 documents the
    byte layout normatively, and DESIGN.md "Durability boundary"
    explains why crypto material never appears here. *)
@@ -44,14 +44,6 @@ type record =
       y_star : int;
       y_star2 : int;
     }
-  | Audit_entry of {
-      attempt : int;
-      agent : int;
-      task : int;
-      description : string;
-      ok : bool;
-    }
-  | Abort of { attempt : int; agent : int; reason : Audit.reason }
   | Run_end of {
       schedule : int array option;
       first_prices : int array option;
@@ -72,18 +64,8 @@ type record =
     }
   | Job_submitted of { job : int; bids : int array }
   | Epoch_start of { epoch : int; jobs : int array }
-  | Job_done of {
-      job : int;
-      epoch : int;
-      task : int;
-      winner : int;
-      y_star : int;
-      y_star2 : int;
-    }
-  | Job_failed of { job : int; epoch : int; task : int; error : string }
-  | Epoch_end of { epoch : int }
 
-let magic = "DMWWAL01"
+let magic = "DMWWAL02"
 let max_payload = 1 lsl 24
 
 (* ------------------------------------------------------------------ *)
@@ -180,33 +162,6 @@ let add_phase b ph =
     | Agent.Resolving_second -> 3
     | Agent.Done_ -> 4)
 
-let add_reason b = function
-  | Audit.Bad_share { dealer } ->
-      add_u8 b 0;
-      add_i64 b dealer
-  | Audit.Bad_lambda_psi { agent } ->
-      add_u8 b 1;
-      add_i64 b agent
-  | Audit.Bad_disclosure { agent } ->
-      add_u8 b 2;
-      add_i64 b agent
-  | Audit.Bad_lambda_psi_excl { agent } ->
-      add_u8 b 3;
-      add_i64 b agent
-  | Audit.Resolution_failed { stage } ->
-      add_u8 b 4;
-      add_str b stage
-  | Audit.Payment_disagreement -> add_u8 b 5
-  | Audit.Stalled { phase } ->
-      add_u8 b 6;
-      add_str b phase
-  | Audit.Peer_silent { agent } ->
-      add_u8 b 7;
-      add_i64 b agent
-  | Audit.Deadline_exceeded { phase } ->
-      add_u8 b 8;
-      add_str b phase
-
 let add_snapshot b s =
   add_str b s.p;
   add_str b s.q;
@@ -218,6 +173,8 @@ let add_snapshot b s =
   add_i64 b s.w_max;
   add_str_arr b s.alphas
 
+(* Tags 4, 5, 11, 12 and 13 belonged to record kinds of the DMWWAL01
+   format that nothing read; they stay retired and are never reused. *)
 let encode r =
   let b = Buffer.create 64 in
   (match r with
@@ -251,18 +208,6 @@ let encode r =
       add_i64 b winner;
       add_i64 b y_star;
       add_i64 b y_star2
-  | Audit_entry { attempt; agent; task; description; ok } ->
-      add_u8 b 4;
-      add_i64 b attempt;
-      add_i64 b agent;
-      add_i64 b task;
-      add_str b description;
-      add_bool b ok
-  | Abort { attempt; agent; reason } ->
-      add_u8 b 5;
-      add_i64 b attempt;
-      add_i64 b agent;
-      add_reason b reason
   | Run_end
       { schedule; first_prices; second_prices; payments; attempts; excluded }
     ->
@@ -292,24 +237,7 @@ let encode r =
   | Epoch_start { epoch; jobs } ->
       add_u8 b 10;
       add_i64 b epoch;
-      add_int_arr b jobs
-  | Job_done { job; epoch; task; winner; y_star; y_star2 } ->
-      add_u8 b 11;
-      add_i64 b job;
-      add_i64 b epoch;
-      add_i64 b task;
-      add_i64 b winner;
-      add_i64 b y_star;
-      add_i64 b y_star2
-  | Job_failed { job; epoch; task; error } ->
-      add_u8 b 12;
-      add_i64 b job;
-      add_i64 b epoch;
-      add_i64 b task;
-      add_str b error
-  | Epoch_end { epoch } ->
-      add_u8 b 13;
-      add_i64 b epoch);
+      add_int_arr b jobs);
   Buffer.contents b
 
 exception Malformed of string
@@ -391,19 +319,6 @@ let get_phase cur =
   | 4 -> Agent.Done_
   | v -> raise (Malformed ("unknown phase tag " ^ string_of_int v))
 
-let get_reason cur =
-  match get_u8 cur with
-  | 0 -> Audit.Bad_share { dealer = get_i64 cur }
-  | 1 -> Audit.Bad_lambda_psi { agent = get_i64 cur }
-  | 2 -> Audit.Bad_disclosure { agent = get_i64 cur }
-  | 3 -> Audit.Bad_lambda_psi_excl { agent = get_i64 cur }
-  | 4 -> Audit.Resolution_failed { stage = get_str cur }
-  | 5 -> Audit.Payment_disagreement
-  | 6 -> Audit.Stalled { phase = get_str cur }
-  | 7 -> Audit.Peer_silent { agent = get_i64 cur }
-  | 8 -> Audit.Deadline_exceeded { phase = get_str cur }
-  | v -> raise (Malformed ("unknown abort-reason tag " ^ string_of_int v))
-
 let get_snapshot cur =
   let p = get_str cur in
   let q = get_str cur in
@@ -448,18 +363,6 @@ let decode_payload cur =
       let y_star = get_i64 cur in
       let y_star2 = get_i64 cur in
       Task_done { attempt; task; winner; y_star; y_star2 }
-  | 4 ->
-      let attempt = get_i64 cur in
-      let agent = get_i64 cur in
-      let task = get_i64 cur in
-      let description = get_str cur in
-      let ok = get_bool cur in
-      Audit_entry { attempt; agent; task; description; ok }
-  | 5 ->
-      let attempt = get_i64 cur in
-      let agent = get_i64 cur in
-      let reason = get_reason cur in
-      Abort { attempt; agent; reason }
   | 6 ->
       let schedule = get_opt get_int_arr cur in
       let first_prices = get_opt get_int_arr cur in
@@ -487,21 +390,6 @@ let decode_payload cur =
       let epoch = get_i64 cur in
       let jobs = get_int_arr cur in
       Epoch_start { epoch; jobs }
-  | 11 ->
-      let job = get_i64 cur in
-      let epoch = get_i64 cur in
-      let task = get_i64 cur in
-      let winner = get_i64 cur in
-      let y_star = get_i64 cur in
-      let y_star2 = get_i64 cur in
-      Job_done { job; epoch; task; winner; y_star; y_star2 }
-  | 12 ->
-      let job = get_i64 cur in
-      let epoch = get_i64 cur in
-      let task = get_i64 cur in
-      let error = get_str cur in
-      Job_failed { job; epoch; task; error }
-  | 13 -> Epoch_end { epoch = get_i64 cur }
   | v -> raise (Malformed ("unknown record tag " ^ string_of_int v))
 
 let decode s =
@@ -530,7 +418,7 @@ type tail = Clean | Torn of error
 type recovered = { records : record list; tail : tail; valid : int }
 
 let error_to_string = function
-  | Bad_magic -> "not a WAL: bad or missing magic header"
+  | Bad_magic -> "not a WAL: bad or missing magic header (expected " ^ magic ^ ")"
   | Truncated { offset; have; need } ->
       "truncated record at offset " ^ string_of_int offset ^ ": have "
       ^ string_of_int have ^ " bytes, need " ^ string_of_int need
@@ -654,10 +542,9 @@ let continue_file ?(sync_every = 32) path ~valid =
 (* Records a recovery would act on must hit the disk before the run
    advances past them; high-rate phase checkpoints may batch. *)
 let barrier = function
-  | Task_phase _ | Audit_entry _ | Attempt_start _ -> false
-  | Run_start _ | Task_done _ | Abort _ | Run_end _ | Resumed _
-  | Serve_start _ | Job_submitted _ | Epoch_start _ | Job_done _
-  | Job_failed _ | Epoch_end _ ->
+  | Task_phase _ | Attempt_start _ -> false
+  | Run_start _ | Task_done _ | Run_end _ | Resumed _ | Serve_start _
+  | Job_submitted _ | Epoch_start _ ->
       true
 
 let fsync_locked w =
@@ -700,3 +587,13 @@ let close w =
       end)
 
 let path w = w.wpath
+
+let observe_recovery ~t_start ~kept attrs =
+  Dmw_obs.Span.emit ~name:"wal recovery"
+    ~attrs:(("kept", string_of_int kept) :: attrs)
+    ~t_start ~t_stop:(Unix.gettimeofday ()) ()
+  |> ignore;
+  if Metrics.enabled () then begin
+    Metrics.bump "dmw_wal_recoveries_total" 1;
+    Metrics.bump "dmw_wal_recovered_records_total" kept
+  end

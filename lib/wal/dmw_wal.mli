@@ -1,11 +1,14 @@
-(** Durable write-ahead audit log for task auctions.
+(** Durable write-ahead log for task auctions.
 
-    The WAL turns the paper's obedient-transport assumption (Theorem 3)
-    into an explicit, recoverable boundary: every protocol step that
-    matters for recovery — the run header (seed, params, bids, fault
-    policy), per-task phase-machine checkpoints, typed {!Dmw_core.Audit}
-    failures and aborts, and the final consensus outcome — is persisted
-    as a length-prefixed, checksummed, fsync-batched record.
+    The WAL turns the paper's assumption that agents live to the end of
+    the run (Theorem 3) into an explicit, recoverable boundary: what a
+    recovery reads — the run header (seed, params, bids, fault policy),
+    each attempt's start, per-task phase-machine checkpoints, task
+    settlements and the final consensus outcome — is persisted as a
+    length-prefixed, checksummed, fsync-batched record. A [dmw_serve]
+    journal adds the service header, its submissions and which jobs
+    formed which epoch; each epoch's own run records are its
+    settlement.
 
     Because [dmw_det] proves every journaled value is a pure function of
     (seed, params, bids), recovery never replays message state: it
@@ -19,7 +22,7 @@
 
     {v
       file   := magic record*
-      magic  := "DMWWAL01"                      (8 bytes)
+      magic  := "DMWWAL02"                      (8 bytes)
       record := len:u32 crc:u32 payload         (len = |payload|, crc = CRC-32 of payload)
       payload:= tag:u8 fields...                (see PROTOCOL.md section 8)
     v}
@@ -66,14 +69,6 @@ type record =
       y_star : int;
       y_star2 : int;
     }  (** A task auction settled: winner and both prices. *)
-  | Audit_entry of {
-      attempt : int;
-      agent : int;
-      task : int;
-      description : string;
-      ok : bool;
-    }  (** A failed consistency check (only failures are journaled). *)
-  | Abort of { attempt : int; agent : int; reason : Dmw_core.Audit.reason }
   | Run_end of {
       schedule : int array option;
       first_prices : int array option;
@@ -83,8 +78,8 @@ type record =
       excluded : int array;
     }  (** The consensus outcome of the completed run. *)
   | Resumed of { kept : int }
-      (** A recovery happened here; [kept] journaled task outcomes from
-          the interrupted segment were verified against the re-run. *)
+      (** A recovery happened here; [kept] counts the journaled
+          settlements it verified against the re-run. *)
   | Serve_start of {
       n : int;
       c : int;
@@ -96,16 +91,10 @@ type record =
     }  (** Service configuration header ([dmw_serve]). *)
   | Job_submitted of { job : int; bids : int array }
   | Epoch_start of { epoch : int; jobs : int array }
-  | Job_done of {
-      job : int;
-      epoch : int;
-      task : int;
-      winner : int;
-      y_star : int;
-      y_star2 : int;
-    }
-  | Job_failed of { job : int; epoch : int; task : int; error : string }
-  | Epoch_end of { epoch : int }
+      (** Epoch [epoch] runs [jobs], job [jobs.(j)] as task [j]. The
+          run records after each [Epoch_start] of an epoch, up to the
+          next [Epoch_start], are that epoch's run; serve records among
+          them are skipped. *)
 
 val snapshot_of_params : Dmw_core.Params.t -> params_snapshot
 
@@ -135,7 +124,8 @@ val max_payload : int
 
 type error =
   | Bad_magic
-      (** The file does not begin with the WAL magic — not a WAL. *)
+      (** The file does not begin with this format's magic: not a WAL,
+          or one in an older format. *)
   | Truncated of { offset : int; have : int; need : int }
       (** The record at [offset] declares more bytes than remain. *)
   | Bad_checksum of { offset : int }
@@ -174,10 +164,10 @@ val error_to_string : error -> string
 
 type writer
 (** A mutex-guarded, fsync-batched appender. High-rate checkpoint
-    records ([Task_phase], [Audit_entry], [Attempt_start]) are batched;
-    settlement and header records ([Task_done], [Run_end], epoch and
-    job records, ...) force an [fsync] so anything a recovery would
-    trust is durable before the process advances. *)
+    records ([Task_phase], [Attempt_start]) are batched; every other
+    record (headers, [Task_done], [Run_end], submissions, epoch starts,
+    [Resumed]) forces an [fsync], so anything a recovery would trust is
+    durable before the process advances. *)
 
 val create : ?sync_every:int -> string -> writer
 (** [create path] truncates [path] and writes the magic header.
@@ -201,3 +191,11 @@ val close : writer -> unit
 (** [sync] and release the file descriptor. Idempotent. *)
 
 val path : writer -> string
+
+val observe_recovery :
+  t_start:float -> kept:int -> (string * string) list -> unit
+(** Emit the ["wal recovery"] span from [t_start] to now, carrying
+    [kept] and the given attributes, and bump
+    [dmw_wal_recoveries_total] by one and
+    [dmw_wal_recovered_records_total] by [kept]. Each recovery calls it
+    once. *)

@@ -57,7 +57,7 @@ let frame r =
   Bytes.set_int32_be b 4 (Int32.of_int (Dmw_wal.crc32 p));
   Bytes.to_string b ^ p
 
-let image records = "DMWWAL01" ^ String.concat "" (List.map frame records)
+let image records = "DMWWAL02" ^ String.concat "" (List.map frame records)
 
 let contains ~affix s =
   let na = String.length affix and ns = String.length s in
@@ -319,6 +319,37 @@ let serve_key (r : Dmw_serve_core.job_result) =
   ( r.Dmw_serve_core.job, r.Dmw_serve_core.epoch, r.Dmw_serve_core.task,
     r.Dmw_serve_core.outcome )
 
+(* The live service journals a submission whenever it arrives, so one
+   can land inside an epoch's run records: move jobs 2 and 3's
+   submissions between epoch 1's Run_start and its Run_end. *)
+let interleave_submissions img =
+  let records =
+    match Dmw_wal.read_string img with
+    | Ok { Dmw_wal.records; tail = Dmw_wal.Clean; _ } -> records
+    | Ok _ | Error _ -> Alcotest.fail "reference journal unreadable"
+  in
+  let late = function
+    | Dmw_wal.Job_submitted { job = 2 | 3; _ } -> true
+    | _ -> false
+  in
+  let sub2, sub3 =
+    match List.filter late records with
+    | [ s2; s3 ] -> (s2, s3)
+    | _ -> Alcotest.fail "reference journal lacks jobs 2 and 3"
+  in
+  let first_run = ref true in
+  image
+    (List.concat_map
+       (fun r ->
+         match r with
+         | _ when late r -> []
+         | Dmw_wal.Run_start _ when !first_run -> [ r; sub2 ]
+         | Dmw_wal.Run_end _ when !first_run ->
+             first_run := false;
+             [ sub3; r ]
+         | _ -> [ r ])
+       records)
+
 let test_serve_kill_at_every_boundary () =
   let path = Filename.temp_file "dmw_crash_serve_" ".wal" in
   let img, reference = serve_reference ~wal_path:path ~seed:11 in
@@ -332,55 +363,59 @@ let test_serve_kill_at_every_boundary () =
   List.iter
     (fun r -> Hashtbl.replace refmap r.Dmw_serve_core.job (serve_key r))
     reference;
-  List.iter
-    (fun cut ->
-      let prefix = String.sub img 0 cut in
-      let records =
-        match Dmw_wal.read_string prefix with
-        | Ok { Dmw_wal.records; _ } -> records
+  let sweep img =
+    List.iter
+      (fun cut ->
+        let prefix = String.sub img 0 cut in
+        let records =
+          match Dmw_wal.read_string prefix with
+          | Ok { Dmw_wal.records; _ } -> records
+          | Error e ->
+              Alcotest.failf "killed at %d: %s" cut (Dmw_wal.error_to_string e)
+        in
+        let submitted =
+          List.filter_map
+            (function Dmw_wal.Job_submitted { job; _ } -> Some job | _ -> None)
+            records
+        in
+        match Dmw_serve_core.recover records with
         | Error e ->
-            Alcotest.failf "killed at %d: %s" cut (Dmw_wal.error_to_string e)
-      in
-      let submitted =
-        List.filter_map
-          (function Dmw_wal.Job_submitted { job; _ } -> Some job | _ -> None)
-          records
-      in
-      match Dmw_serve_core.recover records with
-      | Error e ->
-          (* Only a prefix without the service header may refuse. *)
-          Alcotest.(check bool)
-            (Printf.sprintf "killed at %d: refusal only without header: %s"
-               cut e)
-            true (records = [])
-      | Ok rc ->
-          (* Every journaled submission settles, and every settlement —
-             kept or replayed — is the one the uninterrupted service
-             produced, epoch and prices included. *)
-          List.iter
-            (fun job ->
-              Alcotest.(check bool)
-                (Printf.sprintf "killed at %d: job %d settles" cut job)
-                true
-                (List.exists
-                   (fun (r : Dmw_serve_core.job_result) ->
-                     r.Dmw_serve_core.job = job)
-                   rc.Dmw_serve_core.results))
-            submitted;
-          List.iter
-            (fun (r : Dmw_serve_core.job_result) ->
-              match Hashtbl.find_opt refmap r.Dmw_serve_core.job with
-              | Some k ->
-                  Alcotest.(check bool)
-                    (Printf.sprintf "killed at %d: job %d bit-identical" cut
-                       r.Dmw_serve_core.job)
-                    true
-                    (serve_key r = k)
-              | None ->
-                  Alcotest.failf "killed at %d: unknown job %d" cut
-                    r.Dmw_serve_core.job)
-            rc.Dmw_serve_core.results)
-    (magic_len :: boundaries img);
+            (* Only a prefix without the service header may refuse. *)
+            Alcotest.(check bool)
+              (Printf.sprintf "killed at %d: refusal only without header: %s"
+                 cut e)
+              true (records = [])
+        | Ok rc ->
+            (* Every journaled submission settles, and every settlement —
+               kept or replayed — is the one the uninterrupted service
+               produced, epoch and prices included. *)
+            List.iter
+              (fun job ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "killed at %d: job %d settles" cut job)
+                  true
+                  (List.exists
+                     (fun (r : Dmw_serve_core.job_result) ->
+                       r.Dmw_serve_core.job = job)
+                     rc.Dmw_serve_core.results))
+              submitted;
+            List.iter
+              (fun (r : Dmw_serve_core.job_result) ->
+                match Hashtbl.find_opt refmap r.Dmw_serve_core.job with
+                | Some k ->
+                    Alcotest.(check bool)
+                      (Printf.sprintf "killed at %d: job %d bit-identical" cut
+                         r.Dmw_serve_core.job)
+                      true
+                      (serve_key r = k)
+                | None ->
+                    Alcotest.failf "killed at %d: unknown job %d" cut
+                      r.Dmw_serve_core.job)
+              rc.Dmw_serve_core.results)
+      (magic_len :: boundaries img)
+  in
+  sweep img;
+  sweep (interleave_submissions img);
   Sys.remove path
 
 (* A journaled recovery is itself recoverable, and converges: after
@@ -420,6 +455,30 @@ let test_serve_recovery_converges () =
   let first = recover_file () in
   Alcotest.(check int) "first recovery replays the torn epoch" 1
     first.Dmw_serve_core.replayed;
+  (* A recovery killed partway is itself recoverable: cut the log at
+     every boundary of what the first recovery appended. *)
+  let expected =
+    List.map serve_key
+      (List.sort
+         (fun (a : Dmw_serve_core.job_result) b ->
+           Int.compare a.Dmw_serve_core.job b.Dmw_serve_core.job)
+         reference)
+  in
+  let repaired = read_file path in
+  List.iter
+    (fun cut2 ->
+      match Dmw_wal.read_string (String.sub repaired 0 cut2) with
+      | Error e -> Alcotest.failf "read: %s" (Dmw_wal.error_to_string e)
+      | Ok { Dmw_wal.records; _ } -> (
+          match Dmw_serve_core.recover records with
+          | Error e -> Alcotest.failf "recovery killed at %d: %s" cut2 e
+          | Ok rc ->
+              Alcotest.(check bool)
+                (Printf.sprintf "recovery killed at %d: settlements identical"
+                   cut2)
+                true
+                (List.map serve_key rc.Dmw_serve_core.results = expected)))
+    (List.filter (fun b -> b > cut) (boundaries repaired));
   let second = recover_file () in
   Alcotest.(check int) "second recovery replays nothing" 0
     second.Dmw_serve_core.replayed;
@@ -436,6 +495,112 @@ let test_serve_recovery_converges () =
     second.Dmw_serve_core.next_epoch;
   Alcotest.(check int) "job ids continue past the journal" 4
     second.Dmw_serve_core.next_job;
+  Sys.remove path
+
+(* An unfinished epoch is held to what the service would have run for
+   it: its journaled settlements, and a run header made of the epoch's
+   seed, the service's params and its jobs' journaled bids. A refused
+   recovery journals no outcome, so the next attempt refuses again
+   rather than reading the epoch as settled. *)
+let test_serve_refuses_bad_epoch () =
+  let path = Filename.temp_file "dmw_crash_serve3_" ".wal" in
+  let img, _ = serve_reference ~wal_path:path ~seed:11 in
+  let records =
+    match Dmw_wal.read_string img with
+    | Ok { Dmw_wal.records; tail = Dmw_wal.Clean; _ } -> records
+    | Ok _ | Error _ -> Alcotest.fail "reference journal unreadable"
+  in
+  (* Everything up to epoch 2's Epoch_start, and epoch 2's run without
+     its Run_end. *)
+  let rec split acc = function
+    | (Dmw_wal.Epoch_start { epoch = 2; _ } as e) :: rest ->
+        (List.rev (e :: acc), rest)
+    | r :: rest -> split (r :: acc) rest
+    | [] -> Alcotest.fail "no second epoch journaled"
+  in
+  let before, run2 = split [] records in
+  let run2 = List.filter (function Dmw_wal.Run_end _ -> false | _ -> true) run2 in
+  let header2 =
+    match run2 with
+    | (Dmw_wal.Run_start _ as r) :: _ -> r
+    | _ -> Alcotest.fail "epoch 2 has no Run_start"
+  in
+  let refused ~affix what records =
+    match Dmw_serve_core.recover records with
+    | Error e ->
+        Alcotest.(check bool) (what ^ ": " ^ e) true (contains ~affix e)
+    | Ok _ -> Alcotest.failf "%s: recovered" what
+  in
+  (match Dmw_serve_core.recover (before @ [ header2 ]) with
+  | Ok rc ->
+      Alcotest.(check int) "the untouched header resumes" 1
+        rc.Dmw_serve_core.replayed
+  | Error e -> Alcotest.failf "untouched header refused: %s" e);
+  (* Headers with no settlement after them: only the header check can
+     refuse these. *)
+  let other_params =
+    Dmw_wal.snapshot_of_params
+      (Params.make_exn ~group_bits:64 ~seed:12 ~w_max:3 ~n:5 ~m:2 ~c:1 ())
+  in
+  List.iter
+    (fun (what, r) ->
+      refused ~affix:"is not the one" what (before @ [ r ]))
+    (match header2 with
+    | Dmw_wal.Run_start h ->
+        let bids = Array.map Array.copy h.bids in
+        bids.(0).(0) <- (bids.(0).(0) mod 3) + 1;
+        [ ("another epoch's seed", Dmw_wal.Run_start { h with seed = h.seed + 1 });
+          ("other params", Dmw_wal.Run_start { h with params = other_params });
+          ("other bids", Dmw_wal.Run_start { h with bids });
+          ("another knob", Dmw_wal.Run_start { h with hardened = true }) ]
+    | _ -> []);
+  (* Epoch 1's whole run, settlements included, spliced in as epoch
+     2's: consistent with itself, but not the run epoch 2 was. *)
+  let rec run1 = function
+    | Dmw_wal.Epoch_start { epoch = 1; _ } :: rest ->
+        List.filter
+          (function
+            | Dmw_wal.Run_start _ | Dmw_wal.Attempt_start _
+            | Dmw_wal.Task_phase _ | Dmw_wal.Task_done _ ->
+                true
+            | _ -> false)
+          rest
+    | _ :: rest -> run1 rest
+    | [] -> Alcotest.fail "no first epoch journaled"
+  in
+  refused ~affix:"is not the one" "epoch 1's run as epoch 2's"
+    (before @ run1 before);
+  refused ~affix:"no journaled submission" "a job never submitted"
+    (List.filter
+       (function Dmw_wal.Job_submitted { job = 3; _ } -> false | _ -> true)
+       before
+    @ [ header2 ]);
+  (* A disagreeing settlement, recovered twice through the journal. *)
+  write_file path
+    (image
+       (before
+       @ List.map
+           (function
+             | Dmw_wal.Task_done d ->
+                 Dmw_wal.Task_done { d with winner = (d.winner + 1) mod 5 }
+             | r -> r)
+           run2));
+  List.iter
+    (fun attempt ->
+      match Dmw_wal.read path with
+      | Error e -> Alcotest.failf "read: %s" (Dmw_wal.error_to_string e)
+      | Ok { Dmw_wal.records; valid; _ } -> (
+          let w = Dmw_wal.continue_file path ~valid in
+          let r = Dmw_serve_core.recover ~journal:w records in
+          Dmw_wal.close w;
+          match r with
+          | Error e ->
+              Alcotest.(check bool)
+                (attempt ^ " recovery names the disagreeing settlement: " ^ e)
+                true
+                (contains ~affix:"does not match" e)
+          | Ok _ -> Alcotest.failf "%s recovery settled a tampered epoch" attempt))
+    [ "first"; "second" ];
   Sys.remove path
 
 (* ------------------------------------------------------------------ *)
@@ -537,16 +702,21 @@ let test_golden_vectors () =
                     rc.Dmw_serve_core.results)))
     [ (vector1, `Run 2); (vector2, `Run 2); (vector3, `Serve 4) ]
 
+(* Run a built binary with [args], its output going to [out]. *)
+let exe ?(out = "/dev/null") name args =
+  Sys.command
+    (Printf.sprintf "../bin/%s.exe %s >%s 2>&1" name args (Filename.quote out))
+
+let cli ?out args = exe ?out "dmw_cli" args
+
 (* A run the CLI refuses must leave an existing journal alone: the
    refusal has to come before the journal is opened, because opening
    it truncates the file. Runs the built dmw_cli. *)
 let test_refused_run_keeps_journal () =
   let path = Filename.temp_file "dmw_refused" ".wal" in
   let cli flags =
-    Sys.command
-      (Printf.sprintf
-         "../bin/dmw_cli.exe run -q -n 5 -m 1 --seed 3 --wal %s %s \
-          >/dev/null 2>&1"
+    cli
+      (Printf.sprintf "run -q -n 5 -m 1 --seed 3 --wal %s %s"
          (Filename.quote path) flags)
   in
   Fun.protect
@@ -563,6 +733,93 @@ let test_refused_run_keeps_journal () =
             (String.equal journal (read_file path)))
         [ "--batching --faults drop=0.1"; "--pipeline 0"; "--retries=-1" ])
 
+(* The CLI's resume path, through the built binary: a journal cut right
+   after its first settlement resumes to the uninterrupted outcome. *)
+let test_cli_resume () =
+  let path = Filename.temp_file "dmw_cli_resume" ".wal" in
+  let out = Filename.temp_file "dmw_cli_resume" ".out" in
+  (* The schedule (S1 = ...), price (T1: ...) and payment (P1 ...)
+     lines of a run summary. *)
+  let outcome () =
+    String.split_on_char '\n' (read_file out)
+    |> List.filter (fun l ->
+           String.length l > 1
+           && List.mem l.[0] [ 'S'; 'T'; 'P' ]
+           && l.[1] >= '1' && l.[1] <= '9')
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ path; out ])
+    (fun () ->
+      Alcotest.(check int) "journaled run exits 0" 0
+        (cli ~out
+           (Printf.sprintf "run -q -n 5 -m 2 --seed 3 --wal %s"
+              (Filename.quote path)));
+      let reference = outcome () in
+      Alcotest.(check int) "5 schedule, 2 price and 5 payment lines" 12
+        (List.length reference);
+      let img = read_file path in
+      let first_done =
+        match Dmw_wal.read_string img with
+        | Ok { Dmw_wal.records; _ } ->
+            let rec find i = function
+              | [] -> Alcotest.fail "no Task_done journaled"
+              | Dmw_wal.Task_done _ :: _ -> i
+              | _ :: rest -> find (i + 1) rest
+            in
+            find 0 records
+        | Error e -> Alcotest.failf "read: %s" (Dmw_wal.error_to_string e)
+      in
+      write_file path (String.sub img 0 (List.nth (boundaries img) first_done));
+      Alcotest.(check int) "resume exits 0" 0
+        (cli ~out (Printf.sprintf "run -q --wal %s --resume" (Filename.quote path)));
+      Alcotest.(check (list string)) "same schedule, prices and payments"
+        reference (outcome ()))
+
+(* A journal in the previous format (magic DMWWAL01, whose settlement
+   records are retired tags) is refused by both binaries' resume paths
+   before either reopens it: read under today's codec, its first
+   retired record would pass for a torn tail and be cut off. *)
+let test_old_format_refused () =
+  let path = Filename.temp_file "dmw_old" ".wal" in
+  let i64 v =
+    let b = Bytes.create 8 in
+    Bytes.set_int64_be b 0 (Int64.of_int v);
+    Bytes.to_string b
+  in
+  (* Tag 11, now retired, settled one serve job: job, epoch, task,
+     winner, y*, y**. *)
+  let job_done = "\011" ^ String.concat "" (List.map i64 [ 0; 1; 0; 1; 1; 2 ]) in
+  let framed_job_done =
+    let b = Bytes.create 8 in
+    Bytes.set_int32_be b 0 (Int32.of_int (String.length job_done));
+    Bytes.set_int32_be b 4 (Int32.of_int (Dmw_wal.crc32 job_done));
+    Bytes.to_string b ^ job_done
+  in
+  let old =
+    "DMWWAL01"
+    ^ String.concat ""
+        (List.map frame
+           [ Dmw_wal.Serve_start
+               { n = 5; c = 1; group_bits = 64; seed = 11; w_max = Some 3;
+                 pipeline = None; max_wave = 2 };
+             Dmw_wal.Job_submitted { job = 0; bids = [| 2; 1; 3; 1; 2 |] };
+             Dmw_wal.Epoch_start { epoch = 1; jobs = [| 0 |] } ])
+    ^ framed_job_done
+  in
+  write_file path old;
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let quoted = Filename.quote path in
+      List.iter
+        (fun (name, args) ->
+          Alcotest.(check int) (name ^ " refuses") 2 (exe name args);
+          Alcotest.(check bool) (name ^ " leaves the journal") true
+            (String.equal old (read_file path)))
+        [ ("dmw_serve", "--wal " ^ quoted ^ " --resume-only");
+          ("dmw_cli", "run --wal " ^ quoted ^ " --resume") ])
+
 let () =
   Alcotest.run "crash_resume"
     [ ( "one-shot",
@@ -575,12 +832,18 @@ let () =
           Alcotest.test_case "corrupted journals are refused" `Quick
             test_resume_rejects_corruption;
           Alcotest.test_case "a refused run keeps the journal" `Quick
-            test_refused_run_keeps_journal ] );
+            test_refused_run_keeps_journal;
+          Alcotest.test_case "the CLI resumes a cut journal" `Quick
+            test_cli_resume;
+          Alcotest.test_case "a previous-format journal is refused untouched"
+            `Quick test_old_format_refused ] );
       ( "serve",
         [ Alcotest.test_case "kill at every epoch-journal boundary" `Quick
             test_serve_kill_at_every_boundary;
           Alcotest.test_case "recovery is re-recoverable and converges"
-            `Quick test_serve_recovery_converges ] );
+            `Quick test_serve_recovery_converges;
+          Alcotest.test_case "a refused epoch stays refused" `Quick
+            test_serve_refuses_bad_epoch ] );
       ( "vectors",
         [ Alcotest.test_case "golden journals pinned byte for byte" `Quick
             test_golden_vectors ] ) ]

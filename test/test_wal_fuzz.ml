@@ -9,12 +9,12 @@
 
 open Dmw_core
 
-let magic = "DMWWAL01"
+let magic = "DMWWAL02"
 let params = Params.make_exn ~group_bits:64 ~seed:3 ~n:5 ~m:2 ~c:1 ()
 let snapshot = Dmw_wal.snapshot_of_params params
 
 (* One of each record variant, with the awkward values in play: empty
-   arrays, [None] knobs, withheld payments, non-trivial abort reasons. *)
+   arrays, [None] knobs, withheld payments. *)
 let sample_records : Dmw_wal.record list =
   [ Run_start
       { seed = 42; params = snapshot;
@@ -28,13 +28,6 @@ let sample_records : Dmw_wal.record list =
     Task_phase { attempt = 1; task = 1; phase = Agent.Resolving_second };
     Task_phase { attempt = 1; task = 1; phase = Agent.Done_ };
     Task_done { attempt = 1; task = 0; winner = 3; y_star = 1; y_star2 = 2 };
-    Audit_entry
-      { attempt = 1; agent = 2; task = 1;
-        description = "lambda/psi failed eq. (11)"; ok = false };
-    Abort { attempt = 1; agent = 4; reason = Audit.Peer_silent { agent = 2 } };
-    Abort
-      { attempt = 2; agent = 0;
-        reason = Audit.Deadline_exceeded { phase = "Resolving_first" } };
     Run_end
       { schedule = Some [| 3; 1 |]; first_prices = Some [| 1; 1 |];
         second_prices = Some [| 2; 1 |];
@@ -45,11 +38,7 @@ let sample_records : Dmw_wal.record list =
       { n = 5; c = 1; group_bits = 64; seed = 7; w_max = Some 3;
         pipeline = None; max_wave = 8 };
     Job_submitted { job = 0; bids = [| 2; 1; 3; 1; 2 |] };
-    Epoch_start { epoch = 1; jobs = [| 0; 1 |] };
-    Job_done { job = 0; epoch = 1; task = 0; winner = 1; y_star = 1;
-               y_star2 = 1 };
-    Job_failed { job = 1; epoch = 1; task = 1; error = "wave failed" };
-    Epoch_end { epoch = 1 } ]
+    Epoch_start { epoch = 1; jobs = [| 0; 1 |] } ]
 
 (* Reference framing, independent of the writer: len | crc | payload. *)
 let frame r =
@@ -211,9 +200,17 @@ let test_not_a_wal () =
   (match Dmw_wal.read_string "" with
   | Error Dmw_wal.Bad_magic -> ()
   | Ok _ | Error _ -> Alcotest.fail "empty string accepted");
-  (match Dmw_wal.read_string "DMWWAL99garbage" with
-  | Error Dmw_wal.Bad_magic -> ()
-  | Ok _ | Error _ -> Alcotest.fail "wrong magic accepted");
+  List.iter
+    (fun img ->
+      match Dmw_wal.read_string img with
+      | Error Dmw_wal.Bad_magic -> ()
+      | Ok _ | Error _ -> Alcotest.fail "wrong magic accepted")
+    [ "DMWWAL99garbage";
+      (* The previous format: same framing, retired record kinds. *)
+      "DMWWAL01" ^ String.concat "" (List.map frame sample_records) ];
+  Alcotest.(check string) "the refusal names the expected magic"
+    "not a WAL: bad or missing magic header (expected DMWWAL02)"
+    (Dmw_wal.error_to_string Dmw_wal.Bad_magic);
   match Dmw_wal.read "/nonexistent/dmw.wal" with
   | Error (Dmw_wal.Bad_record { offset = 0; _ }) -> ()
   | Ok _ | Error _ -> Alcotest.fail "missing file not a typed error"
